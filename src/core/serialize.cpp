@@ -19,26 +19,11 @@ namespace {
 // still readable.
 constexpr std::string_view kMagic = "appclass-pipeline v2";
 constexpr std::string_view kMagicV1 = "appclass-pipeline v1";
-constexpr std::string_view kChecksumTag = "checksum ";
+
+constexpr std::string_view kErrorPrefix = "pipeline deserialization: ";
 
 [[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("pipeline deserialization: " + what);
-}
-
-std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::string to_hex64(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, v >>= 4) out[static_cast<std::size_t>(i)] = kDigits[v & 0xf];
-  return out;
+  throw std::runtime_error(std::string(kErrorPrefix) + what);
 }
 
 std::string expect_tag(std::istream& is, const std::string& tag) {
@@ -103,10 +88,7 @@ std::string save_pipeline(const ClassificationPipeline& pipeline) {
     os << '\n';
   }
   std::string body = os.str();
-  body.append(kChecksumTag);
-  body.append(to_hex64(fnv1a64(
-      std::string_view(body.data(), body.size() - kChecksumTag.size()))));
-  body.push_back('\n');
+  common::seal_checksummed(body);
   return body;
 }
 
@@ -116,29 +98,8 @@ ClassificationPipeline load_pipeline(const std::string& text) {
   const bool v1 = view.rfind(kMagicV1, 0) == 0;
   if (!v1 && view.rfind(kMagic, 0) != 0) fail("bad magic/version header");
 
-  if (!v1) {
-    // Verify the checksum footer before trusting any field.
-    const std::size_t footer = view.rfind(kChecksumTag);
-    if (footer == std::string_view::npos)
-      fail("missing checksum footer (truncated file?)");
-    std::string_view recorded = view.substr(footer + kChecksumTag.size());
-    while (!recorded.empty() &&
-           (recorded.back() == '\n' || recorded.back() == '\r' ||
-            recorded.back() == ' '))
-      recorded.remove_suffix(1);
-    // A footer tag with fewer than 16 hex digits means the crash landed
-    // inside the footer itself — report that distinctly from damage to
-    // the body, which surfaces as a value mismatch below.
-    if (recorded.size() != 16 ||
-        recorded.find_first_not_of("0123456789abcdef") !=
-            std::string_view::npos)
-      fail("truncated checksum footer (expected 16 hex digits, found '" +
-           std::string(recorded) + "')");
-    const std::string computed = to_hex64(fnv1a64(view.substr(0, footer)));
-    if (recorded != computed)
-      fail("checksum mismatch: file is corrupt (expected " + computed +
-           ", found '" + std::string(recorded) + "')");
-  }
+  // Verify the checksum footer before trusting any field.
+  if (!v1) common::verify_checksummed(view, kErrorPrefix);
 
   std::istringstream is(text);
   std::string line;

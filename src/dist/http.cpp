@@ -1,8 +1,5 @@
 #include "dist/http.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,27 +9,11 @@
 #include <cstring>
 #include <string_view>
 
+#include "common/net.hpp"
+
 namespace appclass::dist {
 
 namespace {
-
-timeval to_timeval(int ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = (ms % 1000) * 1000;
-  return tv;
-}
-
-bool send_all(int fd, const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;  // signal, not failure: retry
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 /// Case-insensitive header search within the raw header block.
 bool headers_contain(std::string_view headers, std::string_view name,
@@ -83,27 +64,14 @@ HttpResult http_get_ex(const std::string& host, std::uint16_t port,
                        const std::string& path,
                        const HttpGetOptions& options) {
   HttpResult result;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = common::net::connect_tcp(host, port, options.timeout_ms,
+                                         /*no_delay=*/false);
   if (fd < 0) return result;  // kConnect
-
-  const timeval tv = to_timeval(options.timeout_ms);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return result;  // kConnect
-  }
 
   const std::string request = "GET " + path +
                               " HTTP/1.1\r\nHost: " + host +
                               "\r\nConnection: close\r\n\r\n";
-  if (!send_all(fd, request.data(), request.size())) {
+  if (!common::net::send_all(fd, request.data(), request.size())) {
     ::close(fd);
     result.error = HttpError::kTimeout;
     return result;
@@ -117,9 +85,8 @@ HttpResult http_get_ex(const std::string& host, std::uint16_t port,
   std::size_t headers_end = std::string::npos;
   bool checked_headers = false;
   for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    const ssize_t n = common::net::recv_some(fd, buffer, sizeof(buffer));
     if (n < 0) {
-      if (errno == EINTR) continue;  // signal, not failure: retry
       ::close(fd);
       // EAGAIN/EWOULDBLOCK here means the SO_RCVTIMEO budget expired.
       result.error = (errno == EAGAIN || errno == EWOULDBLOCK)

@@ -51,7 +51,6 @@ struct IngestListenerOptions {
   int read_timeout_ms = 2000;
   /// bind() retries with doubling backoff (restart-over-dying-socket).
   int bind_retries = 4;
-  int bind_retry_initial_ms = 100;
 };
 
 class IngestListener {

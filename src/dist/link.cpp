@@ -1,8 +1,5 @@
 #include "dist/link.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,6 +8,7 @@
 #include <chrono>
 #include <thread>
 
+#include "common/net.hpp"
 #include "dist/wire.hpp"
 #include "obs/cardinality.hpp"
 #include "obs/log.hpp"
@@ -19,13 +17,6 @@
 namespace appclass::dist {
 
 namespace {
-
-timeval to_timeval(int ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = (ms % 1000) * 1000;
-  return tv;
-}
 
 std::int64_t steady_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -81,23 +72,10 @@ bool WorkerLink::ensure_connected() {
     }
     first_attempt = false;
 
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = common::net::connect_tcp(host_, port_,
+                                            options_.io_timeout_ms,
+                                            /*no_delay=*/true);
     if (fd < 0) continue;
-    const timeval tv = to_timeval(options_.io_timeout_ms);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port_);
-    if (::inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) != 1 ||
-        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof addr) != 0) {
-      ::close(fd);
-      continue;
-    }
 
     // The hello is the worker's durable horizon; everything the resume
     // logic needs arrives in this one message.
@@ -105,8 +83,8 @@ bool WorkerLink::ensure_connected() {
     std::size_t got = 0;
     bool ok = true;
     while (got < kHelloBytes) {
-      const ssize_t n = ::recv(fd, raw + got, kHelloBytes - got, 0);
-      if (n < 0 && errno == EINTR) continue;  // signal, not failure: retry
+      const ssize_t n =
+          common::net::recv_some(fd, raw + got, kHelloBytes - got);
       if (n <= 0) {
         ok = false;
         break;
@@ -142,7 +120,8 @@ bool WorkerLink::ensure_connected() {
       bool resent_ok = true;
       for (Pending& pending : unacked_) {
         pending.sent_steady_us = steady_now_us();
-        if (!write_bytes(pending.bytes)) {
+        if (!common::net::send_all(fd_, pending.bytes.data(),
+                                   pending.bytes.size())) {
           resent_ok = false;
           break;
         }
@@ -158,18 +137,6 @@ bool WorkerLink::ensure_connected() {
     return true;
   }
   return false;
-}
-
-bool WorkerLink::write_bytes(const std::vector<std::uint8_t>& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;  // signal, not failure: retry
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 void WorkerLink::retire_front(bool acked_on_wire) {
@@ -207,9 +174,8 @@ void WorkerLink::apply_ack(std::uint64_t seq) {
 bool WorkerLink::drain_acks(bool block) {
   std::uint8_t buffer[1024];
   for (;;) {
-    const ssize_t n =
-        ::recv(fd_, buffer, sizeof buffer, block ? 0 : MSG_DONTWAIT);
-    if (n < 0 && errno == EINTR) continue;  // signal, not failure: retry
+    const ssize_t n = common::net::recv_some(fd_, buffer, sizeof buffer,
+                                             block ? 0 : MSG_DONTWAIT);
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       // Non-blocking pass with nothing pending is fine; a blocking wait
       // timing out means the worker stalled — reconnect and resend.
@@ -255,7 +221,8 @@ bool WorkerLink::send(const metrics::Snapshot& snapshot,
       .counter("appclass_dist_link_sent_total")
       .inc();
 
-  if (!write_bytes(unacked_.back().bytes)) disconnect();
+  const std::vector<std::uint8_t>& frame = unacked_.back().bytes;
+  if (!common::net::send_all(fd_, frame.data(), frame.size())) disconnect();
   // Opportunistically retire acks so the window rarely fills.
   if (fd_ >= 0 && !drain_acks(/*block=*/false)) disconnect();
   // A write/read failure leaves the frame in unacked_; the reconnect on

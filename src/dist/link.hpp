@@ -103,7 +103,6 @@ class WorkerLink {
   bool ensure_connected();
   void disconnect();
   bool stop_requested() const;
-  bool write_bytes(const std::vector<std::uint8_t>& bytes);
   /// Reads acks; `block` waits for at least one (up to the timeout).
   bool drain_acks(bool block);
   void apply_ack(std::uint64_t seq);

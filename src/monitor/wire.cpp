@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "common/hash.hpp"
 
 namespace appclass::monitor {
 
@@ -29,16 +30,6 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 
 void put_f64(std::vector<std::uint8_t>& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-/// FNV-1a over the packet body (everything after the header checksum slot).
-std::uint32_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint32_t h = 2166136261u;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 16777619u;
-  }
-  return h;
 }
 
 class Reader {
@@ -101,7 +92,7 @@ std::vector<std::uint8_t> encode_packet(const metrics::Snapshot& snapshot) {
   out.insert(out.end(), snapshot.node_ip.begin(), snapshot.node_ip.end());
   for (const double v : snapshot.values) put_f64(out, v);
 
-  const std::uint32_t checksum = fnv1a(
+  const std::uint32_t checksum = common::fnv1a32(
       std::span<const std::uint8_t>(out).subspan(checksum_slot + 4));
   out[checksum_slot + 0] = static_cast<std::uint8_t>(checksum >> 24);
   out[checksum_slot + 1] = static_cast<std::uint8_t>(checksum >> 16);
@@ -118,7 +109,7 @@ std::optional<metrics::Snapshot> decode_packet(
   if (reader.u16() != kVersion) return std::nullopt;
   const std::uint32_t checksum = reader.u32();
   if (!reader.ok()) return std::nullopt;
-  if (fnv1a(packet.subspan(10)) != checksum) return std::nullopt;
+  if (common::fnv1a32(packet.subspan(10)) != checksum) return std::nullopt;
 
   metrics::Snapshot s;
   s.time = static_cast<metrics::SimTime>(reader.u64());

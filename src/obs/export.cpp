@@ -5,6 +5,8 @@
 #include <set>
 #include <string_view>
 
+#include "common/json.hpp"
+
 namespace appclass::obs {
 namespace {
 
@@ -50,25 +52,6 @@ std::string quantile_estimate(const HistogramSnapshot& h, double q) {
   return "inf";
 }
 
-void json_escape_into(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\n': out.append("\\n"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out.append(buffer);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-}
-
 void json_labels_into(std::string& out, const Labels& labels) {
   out.append("{");
   bool first = true;
@@ -76,9 +59,9 @@ void json_labels_into(std::string& out, const Labels& labels) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('"');
-    json_escape_into(out, k);
+    common::json_escape_into(out, k);
     out.append("\":\"");
-    json_escape_into(out, v);
+    common::json_escape_into(out, v);
     out.push_back('"');
   }
   out.push_back('}');
@@ -199,7 +182,7 @@ std::string to_json(const RegistrySnapshot& snapshot) {
     if (!first) out.push_back(',');
     first = false;
     out.append("{\"name\":\"");
-    json_escape_into(out, c.name);
+    common::json_escape_into(out, c.name);
     out.append("\",\"labels\":");
     json_labels_into(out, c.labels);
     out.append(",\"value\":");
@@ -212,7 +195,7 @@ std::string to_json(const RegistrySnapshot& snapshot) {
     if (!first) out.push_back(',');
     first = false;
     out.append("{\"name\":\"");
-    json_escape_into(out, g.name);
+    common::json_escape_into(out, g.name);
     out.append("\",\"labels\":");
     json_labels_into(out, g.labels);
     out.append(",\"value\":");
@@ -225,7 +208,7 @@ std::string to_json(const RegistrySnapshot& snapshot) {
     if (!first) out.push_back(',');
     first = false;
     out.append("{\"name\":\"");
-    json_escape_into(out, h.name);
+    common::json_escape_into(out, h.name);
     out.append("\",\"labels\":");
     json_labels_into(out, h.labels);
     out.append(",\"count\":");

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <map>
+
+#include "common/json.hpp"
 
 namespace appclass::obs {
 namespace {
@@ -581,39 +582,20 @@ bool parse_trace_event(JsonScanner& scanner, ChromeTraceEvent& event) {
   }
 }
 
-void json_escape_into(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\n': out.append("\\n"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out.append(buffer);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-}
-
 void serialize_event_into(std::string& out, const ChromeTraceEvent& e) {
   out.append("\n{\"name\":\"");
-  json_escape_into(out, e.name);
+  common::json_escape_into(out, e.name);
   out.append("\",\"ph\":\"");
-  json_escape_into(out, e.ph);
+  common::json_escape_into(out, e.ph);
   out.push_back('"');
   if (!e.cat.empty()) {
     out.append(",\"cat\":\"");
-    json_escape_into(out, e.cat);
+    common::json_escape_into(out, e.cat);
     out.push_back('"');
   }
   if (!e.scope.empty()) {
     out.append(",\"s\":\"");
-    json_escape_into(out, e.scope);
+    common::json_escape_into(out, e.scope);
     out.push_back('"');
   }
   out.append(",\"pid\":");
@@ -632,7 +614,7 @@ void serialize_event_into(std::string& out, const ChromeTraceEvent& e) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('"');
-    json_escape_into(out, key);
+    common::json_escape_into(out, key);
     out.append("\":");
     out.append(raw);
   }
@@ -724,7 +706,7 @@ StitchResult stitch_chrome_traces(const std::vector<TraceFleetPart>& parts) {
     label.ph = "M";
     label.pid = pid;
     std::string quoted = "\"";
-    json_escape_into(quoted, parsed[i].process);
+    common::json_escape_into(quoted, parsed[i].process);
     quoted.push_back('"');
     label.args.emplace_back("name", std::move(quoted));
     metadata.push_back(std::move(label));

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "obs/log.hpp"
 
 namespace appclass::obs {
@@ -18,14 +19,11 @@ const std::vector<double>& share_buckets() {
 
 std::atomic<ModelHealth*> g_instance{nullptr};
 
-/// Minimal JSON string escaping for node IPs / class names.
+/// `text` as a JSON string literal (node IPs, class names).
 void append_escaped(std::ostream& out, std::string_view text) {
-  out << '"';
-  for (const char ch : text) {
-    if (ch == '"' || ch == '\\') out << '\\';
-    out << ch;
-  }
-  out << '"';
+  std::string quoted = "\"";
+  common::json_escape_into(quoted, text);
+  out << quoted << '"';
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <csignal>
 #include <cstdio>
 
+#include "common/json.hpp"
+
 namespace appclass::obs {
 namespace {
 
@@ -29,25 +31,6 @@ const EpochAnchor& recorder_epoch() noexcept {
     return anchor;
   }();
   return epoch;
-}
-
-void json_escape_into(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\n': out.append("\\n"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out.append(buffer);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
 }
 
 void append_hex(std::string& out, std::uint64_t v) {
@@ -221,7 +204,7 @@ std::string event_chunk(const TraceEvent& e) {
   std::string out;
   out.reserve(160);
   out.append("\n{\"name\":\"");
-  json_escape_into(out, e.name);
+  common::json_escape_into(out, e.name);
   out.append("\",\"cat\":\"appclass\",\"ph\":\"");
   out.append(e.phase == TraceEvent::Phase::kSpan ? "X" : "i");
   out.push_back('"');
@@ -250,9 +233,9 @@ std::string event_chunk(const TraceEvent& e) {
     if (!first_arg) out.push_back(',');
     first_arg = false;
     out.push_back('"');
-    json_escape_into(out, attr.key);
+    common::json_escape_into(out, attr.key);
     out.append("\":\"");
-    json_escape_into(out, attr.value);
+    common::json_escape_into(out, attr.value);
     out.push_back('"');
   }
   out.append("}}");

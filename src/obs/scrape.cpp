@@ -1,18 +1,11 @@
 #include "obs/scrape.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
-#include <thread>
 
+#include "common/net.hpp"
 #include "obs/export.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -27,29 +20,12 @@ std::string read_request(int fd, std::size_t max_bytes) {
   std::string request;
   char buffer[1024];
   while (request.size() < max_bytes) {
-    const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
+    const ssize_t n = common::net::recv_some(fd, buffer, sizeof buffer);
     if (n <= 0) break;
     request.append(buffer, static_cast<std::size_t>(n));
     if (request.find("\r\n\r\n") != std::string::npos) break;
   }
   return request;
-}
-
-timeval to_timeval(int ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
-  return tv;
-}
-
-void send_all(int fd, std::string_view data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return;
-    sent += static_cast<std::size_t>(n);
-  }
 }
 
 void send_response(int fd, std::string_view status,
@@ -63,8 +39,8 @@ void send_response(int fd, std::string_view status,
   head.append("\r\nContent-Length: ");
   head.append(std::to_string(body.size()));
   head.append("\r\nConnection: close\r\n\r\n");
-  send_all(fd, head);
-  send_all(fd, body);
+  common::net::send_all(fd, head.data(), head.size());
+  common::net::send_all(fd, body.data(), body.size());
 }
 
 struct RequestLine {
@@ -131,58 +107,15 @@ ScrapeServer::~ScrapeServer() { stop(); }
 bool ScrapeServer::start() {
   if (running()) return true;
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = common::net::listen_tcp(options_.bind_address, options_.port,
+                                       16, options_.bind_retries, port_);
   if (listen_fd_ < 0) {
-    APPCLASS_LOG_ERROR("scrape.socket_failed", {"errno", errno});
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    APPCLASS_LOG_ERROR("scrape.bad_address",
-                       {"address", options_.bind_address});
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  // Bind with bounded retries: a restarted worker often races its dead
-  // predecessor's socket lingering in TIME_WAIT / not-yet-reaped, and a
-  // short backoff loop reclaims the port without operator intervention.
-  int backoff_ms = options_.bind_retry_initial_ms;
-  bool listening = false;
-  for (int attempt = 0; attempt <= options_.bind_retries; ++attempt) {
-    if (attempt > 0) {
-      APPCLASS_LOG_WARN("scrape.bind_retry", {"attempt", attempt},
-                        {"port", options_.port}, {"backoff_ms", backoff_ms});
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, 2000);
-    }
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) ==
-            0 &&
-        ::listen(listen_fd_, 16) == 0) {
-      listening = true;
-      break;
-    }
-  }
-  if (!listening) {
-    APPCLASS_LOG_ERROR("scrape.bind_failed", {"errno", errno},
+    APPCLASS_LOG_ERROR("scrape.listen_failed", {"errno", errno},
+                       {"address", options_.bind_address},
                        {"port", options_.port},
                        {"attempts", options_.bind_retries + 1});
-    ::close(listen_fd_);
-    listen_fd_ = -1;
     return false;
   }
-
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &len) == 0)
-    port_ = ntohs(bound.sin_port);
 
   running_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { serve_loop(); });
@@ -196,12 +129,7 @@ void ScrapeServer::stop() {
     if (thread_.joinable()) thread_.join();
     return;
   }
-  // Unblock accept(): shutdown makes the blocked call return, close
-  // releases the port.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  if (thread_.joinable()) thread_.join();
+  common::net::stop_listening(listen_fd_, thread_);
   APPCLASS_LOG_INFO("scrape.stopped", {"port", port_});
 }
 
@@ -209,16 +137,9 @@ void ScrapeServer::serve_loop() {
   auto& registry = MetricsRegistry::global();
 
   while (running()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (!running()) break;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;
-    }
-    const timeval rcv = to_timeval(options_.read_timeout_ms);
-    const timeval snd = to_timeval(options_.write_timeout_ms);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcv, sizeof rcv);
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd, sizeof snd);
+    const int fd = common::net::accept_connection(
+        listen_fd_, options_.read_timeout_ms, options_.write_timeout_ms);
+    if (fd < 0) break;
 
     const std::string raw = read_request(fd, options_.max_request_bytes);
     // The cap was hit without a complete header block: refuse rather

@@ -47,11 +47,10 @@ struct ScrapeServerOptions {
   /// Requests larger than this (without a complete header block) are
   /// answered 431 and closed instead of buffered without bound.
   std::size_t max_request_bytes = 8 * 1024;
-  /// bind() attempts beyond the first, with exponential backoff starting
-  /// at bind_retry_initial_ms (doubling, capped at 2 s per wait). Lets a
-  /// restarted worker reclaim a port still held by its dead predecessor.
+  /// bind() attempts beyond the first, with exponential backoff (see
+  /// common::net::listen_tcp). Lets a restarted worker reclaim a port
+  /// still held by its dead predecessor.
   int bind_retries = 0;
-  int bind_retry_initial_ms = 100;
   /// Byte cap on the /traces/recent response: the flight recorder keeps
   /// up to capacity * threads events, and an unbounded dump over a slow
   /// connection would wedge the accept thread. The oldest events drop

@@ -1,10 +1,8 @@
 #include "persist/checkpoint.hpp"
 
-#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <sstream>
 #include <stdexcept>
@@ -16,29 +14,13 @@ namespace appclass::persist {
 namespace {
 
 constexpr std::string_view kMagic = "appclass-checkpoint v1";
-constexpr std::string_view kChecksumTag = "checksum ";
 constexpr std::string_view kFilePrefix = "checkpoint-";
 constexpr std::string_view kFileSuffix = ".ckpt";
 
+constexpr std::string_view kErrorPrefix = "checkpoint deserialization: ";
+
 [[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("checkpoint deserialization: " + what);
-}
-
-std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::string to_hex64(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, v >>= 4)
-    out[static_cast<std::size_t>(i)] = kDigits[v & 0xf];
-  return out;
+  throw std::runtime_error(std::string(kErrorPrefix) + what);
 }
 
 void expect_tag(std::istream& is, const std::string& tag) {
@@ -78,24 +60,6 @@ core::ApplicationClass read_class(std::istream& is) {
   return *label;
 }
 
-/// wal_next encoded in a checkpoint file name; nullopt for other files.
-std::optional<std::uint64_t> file_wal_next(std::string_view name) {
-  if (name.size() != kFilePrefix.size() + 16 + kFileSuffix.size())
-    return std::nullopt;
-  if (name.substr(0, kFilePrefix.size()) != kFilePrefix) return std::nullopt;
-  if (name.substr(name.size() - kFileSuffix.size()) != kFileSuffix)
-    return std::nullopt;
-  std::uint64_t seq = 0;
-  for (const char c : name.substr(kFilePrefix.size(), 16)) {
-    if (c >= '0' && c <= '9') seq = (seq << 4) | static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      seq = (seq << 4) | static_cast<std::uint64_t>(c - 'a' + 10);
-    else
-      return std::nullopt;
-  }
-  return seq;
-}
-
 }  // namespace
 
 std::string encode_checkpoint(const CheckpointData& data) {
@@ -122,10 +86,7 @@ std::string encode_checkpoint(const CheckpointData& data) {
   // Byte-count framing: the CSV is opaque payload, newlines included.
   os << "appdb " << data.appdb_csv.size() << '\n' << data.appdb_csv << '\n';
   std::string body = os.str();
-  body.append(kChecksumTag);
-  body.append(to_hex64(fnv1a64(
-      std::string_view(body.data(), body.size() - kChecksumTag.size()))));
-  body.push_back('\n');
+  common::seal_checksummed(body);
   return body;
 }
 
@@ -134,21 +95,7 @@ CheckpointData decode_checkpoint(const std::string& text) {
   if (view.empty()) fail("empty checkpoint file");
   if (view.rfind(kMagic, 0) != 0) fail("bad magic/version header");
 
-  const std::size_t footer = view.rfind(kChecksumTag);
-  if (footer == std::string_view::npos)
-    fail("missing checksum footer (truncated file?)");
-  std::string_view recorded = view.substr(footer + kChecksumTag.size());
-  while (!recorded.empty() &&
-         (recorded.back() == '\n' || recorded.back() == '\r' ||
-          recorded.back() == ' '))
-    recorded.remove_suffix(1);
-  if (recorded.size() != 16 ||
-      recorded.find_first_not_of("0123456789abcdef") != std::string_view::npos)
-    fail("truncated checksum footer (found '" + std::string(recorded) + "')");
-  const std::string computed = to_hex64(fnv1a64(view.substr(0, footer)));
-  if (recorded != computed)
-    fail("checksum mismatch: checkpoint is corrupt (expected " + computed +
-         ", found '" + std::string(recorded) + "')");
+  common::verify_checksummed(view, kErrorPrefix);
 
   std::istringstream is(text);
   std::string line;
@@ -206,27 +153,16 @@ CheckpointData decode_checkpoint(const std::string& text) {
 }
 
 std::vector<std::string> checkpoint_files(const std::string& dir) {
-  std::vector<std::string> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return out;
-  while (dirent* entry = ::readdir(d)) {
-    if (file_wal_next(entry->d_name)) out.push_back(dir + "/" + entry->d_name);
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end());
-  return out;
+  return common::list_seq_files(dir, kFilePrefix, kFileSuffix);
 }
 
 std::string write_checkpoint(const std::string& dir,
                              const CheckpointData& data, std::size_t keep) {
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST)
     common::throw_errno("cannot create checkpoint directory:", dir);
-  char name[64];
-  std::snprintf(name, sizeof name, "%.*s%016llx%.*s",
-                static_cast<int>(kFilePrefix.size()), kFilePrefix.data(),
-                static_cast<unsigned long long>(data.wal_next),
-                static_cast<int>(kFileSuffix.size()), kFileSuffix.data());
-  const std::string path = dir + "/" + name;
+  const std::string path =
+      dir + "/" +
+      common::seq_file_name(kFilePrefix, data.wal_next, kFileSuffix);
   common::atomic_write_file(path, encode_checkpoint(data));
 
   const std::vector<std::string> files = checkpoint_files(dir);

@@ -1,17 +1,16 @@
 #include "persist/wal.hpp"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
 
 #include "common/assert.hpp"
 #include "common/fs.hpp"
+#include "common/hash.hpp"
 #include "monitor/wire.hpp"
 #include "obs/log.hpp"
 
@@ -24,15 +23,6 @@ constexpr std::string_view kSegmentPrefix = "wal-";
 constexpr std::string_view kSegmentSuffix = ".seg";
 /// kNever flushes to the OS at this buffer size (memory bound, no fsync).
 constexpr std::size_t kNeverPolicyFlushBytes = 256 * 1024;
-
-std::uint64_t fnv1a64(const unsigned char* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 void put_u32(std::string& out, std::uint32_t v) {
   for (int shift = 24; shift >= 0; shift -= 8)
@@ -48,34 +38,6 @@ std::uint64_t read_u64(const unsigned char* p, std::size_t n) {
   std::uint64_t v = 0;
   for (std::size_t i = 0; i < n; ++i) v = (v << 8) | p[i];
   return v;
-}
-
-std::string segment_name(std::uint64_t first_seq) {
-  char name[64];
-  std::snprintf(name, sizeof name, "%.*s%016llx%.*s",
-                static_cast<int>(kSegmentPrefix.size()), kSegmentPrefix.data(),
-                static_cast<unsigned long long>(first_seq),
-                static_cast<int>(kSegmentSuffix.size()), kSegmentSuffix.data());
-  return name;
-}
-
-/// First record seq encoded in a segment file name; nullopt if the name
-/// is not a WAL segment.
-std::optional<std::uint64_t> segment_first_seq(std::string_view name) {
-  if (name.size() != kSegmentPrefix.size() + 16 + kSegmentSuffix.size())
-    return std::nullopt;
-  if (name.substr(0, kSegmentPrefix.size()) != kSegmentPrefix) return std::nullopt;
-  if (name.substr(name.size() - kSegmentSuffix.size()) != kSegmentSuffix)
-    return std::nullopt;
-  std::uint64_t seq = 0;
-  for (const char c : name.substr(kSegmentPrefix.size(), 16)) {
-    if (c >= '0' && c <= '9') seq = (seq << 4) | static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      seq = (seq << 4) | static_cast<std::uint64_t>(c - 'a' + 10);
-    else
-      return std::nullopt;
-  }
-  return seq;
 }
 
 }  // namespace
@@ -117,7 +79,8 @@ WalWriter::~WalWriter() {
 }
 
 void WalWriter::open_segment() {
-  segment_path_ = dir_ + "/" + segment_name(next_seq_);
+  segment_path_ = dir_ + "/" + common::seq_file_name(kSegmentPrefix, next_seq_,
+                                                    kSegmentSuffix);
   // A leftover segment with this exact first-seq can only hold records a
   // prior recovery already declared lost (torn tail / nothing replayable)
   // — replace it rather than appending after garbage.
@@ -161,9 +124,8 @@ std::uint64_t WalWriter::append(const metrics::Snapshot& snapshot) {
   put_u32(buffer_, static_cast<std::uint32_t>(payload.size()));
   buffer_.append(reinterpret_cast<const char*>(payload.data()),
                  payload.size());
-  const std::uint64_t checksum = fnv1a64(
-      reinterpret_cast<const unsigned char*>(buffer_.data()) + body_start,
-      buffer_.size() - body_start);
+  const std::uint64_t checksum =
+      common::fnv1a64(std::string_view(buffer_).substr(body_start));
   put_u64(buffer_, checksum);
   segment_bytes_ += record_size;
   ++appended_;
@@ -195,12 +157,11 @@ std::size_t WalWriter::prune_through(std::uint64_t seq) {
   const std::vector<std::string> segments = wal_segments(dir_);
   std::size_t removed = 0;
   for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
-    const std::size_t slash = segments[i].find_last_of('/');
-    const auto first = segment_first_seq(segments[i].substr(slash + 1));
-    const std::size_t next_slash = segments[i + 1].find_last_of('/');
-    const auto next_first =
-        segment_first_seq(segments[i + 1].substr(next_slash + 1));
-    if (!first || !next_first) continue;
+    const std::string& next = segments[i + 1];
+    const auto next_first = common::parse_seq_file_name(
+        std::string_view(next).substr(next.find_last_of('/') + 1),
+        kSegmentPrefix, kSegmentSuffix);
+    if (!next_first) continue;
     if (segments[i] == segment_path_) break;  // never the active segment
     // Records of segment i are < next segment's first seq.
     if (*next_first == 0 || *next_first - 1 > seq) break;
@@ -223,16 +184,7 @@ void WalWriter::simulate_crash() {
 }
 
 std::vector<std::string> wal_segments(const std::string& dir) {
-  std::vector<std::string> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return out;
-  while (dirent* entry = ::readdir(d)) {
-    if (segment_first_seq(entry->d_name))
-      out.push_back(dir + "/" + entry->d_name);
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end());
-  return out;
+  return common::list_seq_files(dir, kSegmentPrefix, kSegmentSuffix);
 }
 
 WalScan replay_wal(const std::string& dir, std::uint64_t from_seq,
@@ -276,7 +228,7 @@ WalScan replay_wal(const std::string& dir, std::uint64_t from_seq,
         break;
       }
       const std::uint64_t recorded = read_u64(bytes + pos + 16 + len, 8);
-      if (fnv1a64(bytes + pos + 4, 12 + len) != recorded) {
+      if (common::fnv1a64({bytes + pos + 4, 12 + len}) != recorded) {
         scan.truncated_tail = true;
         break;
       }

@@ -331,8 +331,7 @@ TEST(ObsScrapeHardening, BindRetryClaimsPortReleasedDuringBackoff) {
   });
   obs::ScrapeServer patient({.bind_address = "127.0.0.1",
                              .port = port,
-                             .bind_retries = 8,
-                             .bind_retry_initial_ms = 25});
+                             .bind_retries = 8});
   EXPECT_TRUE(patient.start());
   releaser.join();
   patient.stop();
