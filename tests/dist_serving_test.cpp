@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <stdexcept>
 
 #include "core_test_util.hpp"
@@ -115,6 +116,125 @@ TEST(DistServing, ParseRejectsNonDigitNumericFlags) {
   const ParseResult ok = parse_serve_args("m", {"--port=8080"});
   ASSERT_TRUE(ok.options.has_value());
   EXPECT_EQ(ok.options->port, 8080);
+}
+
+/// Parses `flags` and returns what the parser printed to stderr; the
+/// parse must fail with usage exit code 2.
+std::string rejection_text(const std::vector<std::string>& flags) {
+  ::testing::internal::CaptureStderr();
+  const ParseResult result = parse_serve_args("m", flags);
+  const std::string text = ::testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(result.options.has_value()) << flags.back();
+  EXPECT_EQ(result.exit_code, 2) << flags.back();
+  return text;
+}
+
+TEST(DistServing, ParseErrorTextIsPinnedForEveryNumericFlag) {
+  // One out-of-range value and five malformed ones per numeric flag, each
+  // with the exact usage error it prints. Values are checked before per-mode
+  // validity, so coordinator-only flags report their value error in any
+  // mode. 19 digits is past the parser's length cap.
+  constexpr const char* kTooLong = "9999999999999999999";
+  const struct {
+    const char* flag;
+    const char* out_of_range;
+    const char* message;  // printf format of the value error
+  } cases[] = {
+      {"--drift-window=", kTooLong, "serve: bad drift window '%s'\n"},
+      {"--port=", "65536", "serve: bad port '%s'\n"},
+      {"--ingest-port=", "65536", "serve: bad ingest port '%s'\n"},
+      {"--duration=", kTooLong, "serve: bad duration '%s'\n"},
+      {"--cycles=", kTooLong, "serve: bad cycle count '%s'\n"},
+      {"--sync-every=", "0", "serve: bad sync interval '%s'\n"},
+      {"--checkpoint-every=", "0", "serve: bad checkpoint interval '%s'\n"},
+      {"--max-backlog=", kTooLong, "serve: bad backlog bound '%s'\n"},
+      {"--fleet-scrape-every=", "0", "serve: bad fleet scrape period '%s'\n"},
+      {"--slo-freshness-ms=", "0", "serve: bad freshness threshold '%s'\n"},
+      {"--slo-window=", "86401",
+       "serve: bad SLO window '%s' (seconds, <= 1d)\n"},
+      {"--slo-objective=", "100",
+       "serve: bad SLO objective '%s' (percent, 1-99)\n"},
+  };
+  for (const auto& c : cases) {
+    for (const std::string value :
+         {c.out_of_range, "7x", "+7", " 7", "-1", ""}) {
+      char expected[128];
+      std::snprintf(expected, sizeof expected, c.message, value.c_str());
+      EXPECT_EQ(rejection_text({std::string(c.flag) + value}), expected)
+          << c.flag << value;
+    }
+  }
+  // Both ends of the two two-sided ranges are enforced.
+  EXPECT_EQ(rejection_text({"--slo-window=0"}),
+            "serve: bad SLO window '0' (seconds, <= 1d)\n");
+  EXPECT_EQ(rejection_text({"--slo-objective=0"}),
+            "serve: bad SLO objective '0' (percent, 1-99)\n");
+}
+
+TEST(DistServing, ParseErrorTextIsPinnedForModeAndListFlags) {
+  const struct {
+    std::vector<std::string> flags;
+    const char* message;
+  } cases[] = {
+      {{"--mode=cluster"},
+       "serve: bad mode 'cluster' (expected single, worker, coordinator)\n"},
+      {{"--workers=9201"},
+       "serve: bad worker '9201' (expected SCRAPE_PORT:INGEST_PORT)\n"},
+      {{"--mode=coordinator", "--workers=9201:0"},
+       "serve: bad worker '9201:0' (expected SCRAPE_PORT:INGEST_PORT)\n"},
+      {{"--workers="}, "serve: --workers needs at least one entry\n"},
+      {{"--state-dir="}, "serve: --state-dir needs a path\n"},
+      {{"--fsync=sometimes"},
+       "serve: bad fsync policy 'sometimes' (expected always, interval, "
+       "never)\n"},
+      {{"--frobnicate"}, "serve: unknown flag '--frobnicate'\n"},
+      {{"--supervised=1"}, "serve: unknown flag '--supervised=1'\n"},
+      {{"--workers=9201:9301"},
+       "serve: --workers only applies to --mode=coordinator\n"},
+      {{"--mode=worker", "--workers=9201:9301"},
+       "serve: --workers only applies to --mode=coordinator\n"},
+      {{"--ingest-port=9301"},
+       "serve: --ingest-port only applies to --mode=worker\n"},
+      {{"--mode=coordinator", "--workers=9201:9301", "--ingest-port=9301"},
+       "serve: --ingest-port only applies to --mode=worker\n"},
+      {{"--mode=worker", "--cycles=3"},
+       "serve: --cycles applies to the replaying modes (single, "
+       "coordinator), not worker\n"},
+      {{"--fleet-scrape-every=500"},
+       "serve: --fleet-scrape-every/--slo-* only apply to "
+       "--mode=coordinator\n"},
+      {{"--mode=worker", "--slo-window=8"},
+       "serve: --fleet-scrape-every/--slo-* only apply to "
+       "--mode=coordinator\n"},
+      {{"--slo-freshness-ms=250"},
+       "serve: --fleet-scrape-every/--slo-* only apply to "
+       "--mode=coordinator\n"},
+      {{"--slo-objective=90"},
+       "serve: --fleet-scrape-every/--slo-* only apply to "
+       "--mode=coordinator\n"},
+      {{"--mode=coordinator"},
+       "serve: --mode=coordinator requires --workers\n"},
+      {{"--mode=coordinator", "--workers=9201:9301", "--state-dir=/tmp/x"},
+       "serve: the coordinator is stateless; --state-dir belongs on the "
+       "workers\n"},
+  };
+  for (const auto& c : cases)
+    EXPECT_EQ(rejection_text(c.flags), c.message) << c.flags.back();
+
+  // A value that parses prints nothing, and the bounds are inclusive.
+  ::testing::internal::CaptureStderr();
+  const ParseResult ok = parse_serve_args(
+      "m", {"--mode=coordinator", "--workers=1:65535", "--port=65535",
+            "--slo-window=86400", "--slo-objective=99",
+            "--fleet-scrape-every=1", "--slo-freshness-ms=1",
+            "--drift-window=0", "--max-backlog=0", "--duration=0",
+            "--cycles=0"});
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  ASSERT_TRUE(ok.options.has_value());
+  EXPECT_EQ(ok.options->slo_window_s, 86400);
+  EXPECT_EQ(ok.options->slo_objective_pct, 99);
+  EXPECT_EQ(ok.options->fleet_scrape_every_ms, 1);
+  EXPECT_EQ(ok.options->slo_freshness_ms, 1);
 }
 
 TEST(DistServing, ParseKeepsLegacySingleModeFlags) {
