@@ -8,6 +8,7 @@
 
 #include "common/assert.hpp"
 #include "common/fs.hpp"
+#include "common/text.hpp"
 
 namespace appclass::core {
 
@@ -21,28 +22,6 @@ constexpr std::string_view kMagic = "appclass-pipeline v2";
 constexpr std::string_view kMagicV1 = "appclass-pipeline v1";
 
 constexpr std::string_view kErrorPrefix = "pipeline deserialization: ";
-
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error(std::string(kErrorPrefix) + what);
-}
-
-std::string expect_tag(std::istream& is, const std::string& tag) {
-  std::string got;
-  if (!(is >> got) || got != tag) fail("expected '" + tag + "'");
-  return got;
-}
-
-double read_double(std::istream& is) {
-  double v = 0.0;
-  if (!(is >> v)) fail("truncated number");
-  return v;
-}
-
-std::size_t read_size(std::istream& is) {
-  long long v = 0;
-  if (!(is >> v) || v < 0) fail("bad count");
-  return static_cast<std::size_t>(v);
-}
 
 }  // namespace
 
@@ -93,64 +72,65 @@ std::string save_pipeline(const ClassificationPipeline& pipeline) {
 }
 
 ClassificationPipeline load_pipeline(const std::string& text) {
+  std::istringstream is(text);
+  common::TokenReader in(is, kErrorPrefix);
   std::string_view view = text;
-  if (view.empty()) fail("empty model file");
+  if (view.empty()) in.fail("empty model file");
   const bool v1 = view.rfind(kMagicV1, 0) == 0;
-  if (!v1 && view.rfind(kMagic, 0) != 0) fail("bad magic/version header");
+  if (!v1 && view.rfind(kMagic, 0) != 0) in.fail("bad magic/version header");
 
   // Verify the checksum footer before trusting any field.
   if (!v1) common::verify_checksummed(view, kErrorPrefix);
 
-  std::istringstream is(text);
   std::string line;
   if (!std::getline(is, line) || (line != kMagic && line != kMagicV1))
-    fail("bad magic/version header");
+    in.fail("bad magic/version header");
 
   // --- preprocessor ---
-  expect_tag(is, "metrics");
-  const std::size_t p = read_size(is);
-  if (p == 0 || p > metrics::kMetricCount) fail("bad metric count");
+  in.expect_tag("metrics");
+  const std::size_t p = in.read_size();
+  if (p == 0 || p > metrics::kMetricCount) in.fail("bad metric count");
   std::vector<metrics::MetricId> selected;
   for (std::size_t i = 0; i < p; ++i) {
     std::string name;
-    if (!(is >> name)) fail("truncated metric list");
+    if (!(is >> name)) in.fail("truncated metric list");
     const auto id = metrics::find_metric(name);
-    if (!id) fail("unknown metric '" + name + "'");
+    if (!id) in.fail("unknown metric '" + name + "'");
     selected.push_back(*id);
   }
   linalg::ColumnStats stats;
-  expect_tag(is, "norm-mean");
-  for (std::size_t i = 0; i < p; ++i) stats.mean.push_back(read_double(is));
-  expect_tag(is, "norm-stddev");
+  in.expect_tag("norm-mean");
+  for (std::size_t i = 0; i < p; ++i) stats.mean.push_back(in.read_double());
+  in.expect_tag("norm-stddev");
   for (std::size_t i = 0; i < p; ++i) {
-    const double sd = read_double(is);
-    if (sd <= 0.0) fail("non-positive stddev");
+    const double sd = in.read_double();
+    if (sd <= 0.0) in.fail("non-positive stddev");
     stats.stddev.push_back(sd);
   }
 
   // --- pca ---
-  expect_tag(is, "pca");
-  if (read_size(is) != p) fail("pca dimension mismatch");
-  const std::size_t q = read_size(is);
-  if (q == 0 || q > p) fail("bad component count");
+  in.expect_tag("pca");
+  if (in.read_size() != p) in.fail("pca dimension mismatch");
+  const std::size_t q = in.read_size();
+  if (q == 0 || q > p) in.fail("bad component count");
   std::vector<double> mean, eigenvalues;
-  expect_tag(is, "pca-mean");
-  for (std::size_t i = 0; i < p; ++i) mean.push_back(read_double(is));
-  expect_tag(is, "pca-eigenvalues");
+  in.expect_tag("pca-mean");
+  for (std::size_t i = 0; i < p; ++i) mean.push_back(in.read_double());
+  in.expect_tag("pca-eigenvalues");
   for (std::size_t i = 0; i < p; ++i)
-    eigenvalues.push_back(read_double(is));
+    eigenvalues.push_back(in.read_double());
   linalg::Matrix projection(p, q);
   for (std::size_t r = 0; r < p; ++r) {
-    expect_tag(is, "pca-row");
-    for (std::size_t c = 0; c < q; ++c) projection(r, c) = read_double(is);
+    in.expect_tag("pca-row");
+    for (std::size_t c = 0; c < q; ++c) projection(r, c) = in.read_double();
   }
 
   // --- knn ---
-  expect_tag(is, "knn");
-  const std::size_t n = read_size(is);
-  const std::size_t k = read_size(is);
+  in.expect_tag("knn");
+  const std::size_t n = in.read_size();
+  const std::size_t k = in.read_size();
   std::string metric_name;
-  if (!(is >> metric_name)) fail("missing distance metric");
+  if (!(is >> metric_name)) in.fail("missing distance metric");
   KnnOptions knn_options;
   knn_options.k = k;
   if (metric_name == "manhattan")
@@ -158,19 +138,19 @@ ClassificationPipeline load_pipeline(const std::string& text) {
   else if (metric_name == "euclidean")
     knn_options.metric = DistanceMetric::kEuclidean;
   else
-    fail("unknown distance metric '" + metric_name + "'");
-  if (n < k) fail("fewer training points than k");
+    in.fail("unknown distance metric '" + metric_name + "'");
+  if (n < k) in.fail("fewer training points than k");
 
   linalg::Matrix points(n, q);
   std::vector<ApplicationClass> labels;
   labels.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::string label_name;
-    if (!(is >> label_name)) fail("truncated training set");
+    if (!(is >> label_name)) in.fail("truncated training set");
     const auto label = class_from_string(label_name);
-    if (!label) fail("unknown class '" + label_name + "'");
+    if (!label) in.fail("unknown class '" + label_name + "'");
     labels.push_back(*label);
-    for (std::size_t c = 0; c < q; ++c) points(i, c) = read_double(is);
+    for (std::size_t c = 0; c < q; ++c) points(i, c) = in.read_double();
   }
 
   // After the training set the only legal continuations are the checksum
@@ -179,7 +159,7 @@ ClassificationPipeline load_pipeline(const std::string& text) {
   // refuse loudly instead.
   std::string trailing;
   if (is >> trailing && trailing != "checksum")
-    fail("unknown section '" + trailing +
+    in.fail("unknown section '" + trailing +
          "' (file written by a newer format version?)");
 
   KnnClassifier knn(knn_options);

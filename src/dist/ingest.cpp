@@ -13,6 +13,12 @@
 
 namespace appclass::dist {
 
+/// Socket receive timeout; a wedged peer cannot hold the thread forever,
+/// it just cycles back to accept().
+constexpr int kReadTimeoutMs = 2000;
+/// bind() retries with doubling backoff (restart-over-dying-socket).
+constexpr int kBindRetries = 4;
+
 IngestListener::IngestListener(IngestListenerOptions options, Sink sink,
                                std::uint64_t start_seq)
     : options_(std::move(options)),
@@ -26,12 +32,12 @@ bool IngestListener::start() {
 
   // A supervised worker restarting after SIGKILL must reclaim its port.
   listen_fd_ = common::net::listen_tcp(options_.bind_address, options_.port,
-                                       4, options_.bind_retries, port_);
+                                       4, kBindRetries, port_);
   if (listen_fd_ < 0) {
     APPCLASS_LOG_ERROR("dist.ingest_listen_failed", {"errno", errno},
                        {"address", options_.bind_address},
                        {"port", options_.port},
-                       {"attempts", options_.bind_retries + 1});
+                       {"attempts", kBindRetries + 1});
     return false;
   }
 
@@ -58,7 +64,7 @@ void IngestListener::stop() {
 void IngestListener::accept_loop() {
   while (running_.load(std::memory_order_acquire)) {
     const int fd = common::net::accept_connection(
-        listen_fd_, options_.read_timeout_ms, options_.read_timeout_ms);
+        listen_fd_, kReadTimeoutMs, kReadTimeoutMs);
     if (fd < 0) break;
     connections_.fetch_add(1, std::memory_order_relaxed);
     conn_fd_.store(fd, std::memory_order_release);

@@ -46,11 +46,6 @@ struct IngestListenerOptions {
   /// Grid predicate parameter: frames whose time is not a multiple of
   /// this are protocol errors (see header comment).
   int sampling_interval_s = 5;
-  /// Socket receive timeout; a wedged peer cannot hold the thread
-  /// forever, it just cycles back to accept().
-  int read_timeout_ms = 2000;
-  /// bind() retries with doubling backoff (restart-over-dying-socket).
-  int bind_retries = 4;
 };
 
 class IngestListener {

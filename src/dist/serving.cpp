@@ -5,20 +5,23 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
+#include "common/text.hpp"
 #include "core/class_label.hpp"
 #include "core/robustness.hpp"
 #include "core/serialize.hpp"
@@ -53,35 +56,22 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 
 void handle_serve_signal(int) { g_serve_stop = 1; }
 
-void install_serve_signals() {
-  g_serve_stop = 0;
-  std::signal(SIGTERM, handle_serve_signal);
-  std::signal(SIGINT, handle_serve_signal);
-}
+/// A numeric serve flag: its value must be digits within [min, max],
+/// else the parser prints `error`, a printf format taking the value.
+struct NumericFlag {
+  std::string_view prefix;
+  long long* target;
+  long long min;
+  long long max;
+  const char* error;
+  bool coordinator_only = false;  ///< counts toward the fleet-flag check
+};
 
-/// Digits-only integer parse for flag/env values. Deliberately stricter
-/// than strtoll, which accepts leading whitespace and a sign — so
-/// "--shard-port= 80", "+80", or "-1" read as valid ports/counts. Every
-/// value parsed here is a count, port, or ordinal: non-negative by
-/// definition, so only [0-9]+ is well-formed. Length-capped below
-/// LLONG_MAX's 19 digits, so overflow cannot occur.
-std::optional<long long> parse_int(const std::string& text) {
-  if (text.empty() || text.size() > 18) return std::nullopt;
-  long long v = 0;
-  for (const char ch : text) {
-    if (ch < '0' || ch > '9') return std::nullopt;
-    v = v * 10 + (ch - '0');
-  }
-  return v;
-}
+constexpr long long kNoMax = std::numeric_limits<long long>::max();
 
-std::vector<std::string> split_list(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::istringstream is(text);
-  std::string item;
-  while (std::getline(is, item, sep)) out.push_back(item);
-  return out;
-}
+/// --mode values, in ServeMode order.
+constexpr std::array<std::string_view, 3> kModeNames = {"single", "worker",
+                                                        "coordinator"};
 
 constexpr std::string_view kCompositionHeader = "appclass-composition v1";
 
@@ -89,21 +79,6 @@ constexpr std::string_view kCompositionHeader = "appclass-composition v1";
 /// loop's batch size, kept identical across single and coordinator modes
 /// so their per-node announce orders match exactly).
 constexpr std::size_t kAnnouncesPerCycle = 32;
-
-void export_restart_ordinal() {
-  // Under --supervised the watchdog's registry lives in another process;
-  // the restart ordinal reaches the worker's /metrics via environment.
-  if (const char* env = std::getenv(persist::kRestartsEnvVar)) {
-    if (const auto ordinal = parse_int(env); ordinal && *ordinal >= 0)
-      obs::MetricsRegistry::global()
-          .gauge("appclass_supervised_restart_ordinal")
-          .set(static_cast<double>(*ordinal));
-  }
-}
-
-std::string label_name(core::ApplicationClass c) {
-  return std::string(core::to_string(c));
-}
 
 /// Plain-text app-DB view: one "ip class" line per node, the class being
 /// the debounced stable class ("-" while undecided). Deterministic
@@ -113,7 +88,7 @@ std::string appdb_text(const core::OnlineStateImage& state) {
   for (const auto& node : state.nodes) {
     out += node.node_ip;
     out += ' ';
-    out += node.stable_class ? label_name(*node.stable_class) : "-";
+    out += node.stable_class ? core::to_string(*node.stable_class) : "-";
     out += '\n';
   }
   return out;
@@ -134,6 +109,85 @@ std::string shard_classes_text(const obs::ModelHealth& health) {
   return out;
 }
 
+/// The canonical workload streams the single and coordinator modes
+/// replay.
+std::vector<core::RecordedRun> record_replay_runs() {
+  std::printf("recording canonical workload streams for replay...\n");
+  std::fflush(stdout);
+  return core::record_canonical_runs();
+}
+
+/// Every mode's scrape endpoint: loopback, on --port.
+obs::ScrapeServerOptions scrape_options(const ServeOptions& config) {
+  return {.bind_address = "127.0.0.1",
+          .port = static_cast<std::uint16_t>(config.port),
+          // A restarted worker may race its predecessor's dying socket.
+          .bind_retries = 4,
+          // Trace dumps walk every thread ring under locks; a scrape loop
+          // pointed at /traces/recent must not become a recording stall.
+          .trace_dump_min_interval_ms = 100};
+}
+
+/// Binds the scrape endpoint, printing the startup error if it cannot.
+bool start_scrape(obs::ScrapeServer& server, const ServeOptions& config) {
+  if (server.start()) return true;
+  std::fprintf(stderr, "serve: cannot bind 127.0.0.1:%lld\n", config.port);
+  return false;
+}
+
+/// Replay progress: advanced by the replay loop, read by /replay.
+struct ReplayProgress {
+  /// True once a bounded replay (--cycles) has announced every cycle.
+  bool finished() const { return cycles > 0 && cycles_done.load() >= cycles; }
+
+  const long long cycles;  ///< --cycles (0 = unbounded)
+  std::atomic<std::uint64_t> announced{0};
+  std::atomic<long long> cycles_done{0};
+  /// Set once a finished replay is drained (single) or acked (coordinator).
+  std::atomic<bool> delivered{false};
+};
+
+/// Every mode's main loop, run until the --duration deadline or a stop
+/// signal. While cycles remain, a pass replays one cycle of `runs`: the
+/// next kAnnouncesPerCycle snapshots of each canonical run, in run
+/// order, each announced as that run's replay_node_ip. `announce`
+/// returns false once the mode is stopping, which leaves the cycle
+/// uncounted. `after_pass(replayed)` follows every pass, then a 25 ms
+/// sleep.
+void run_replay_loop(
+    const ServeOptions& config, const std::vector<core::RecordedRun>& runs,
+    ReplayProgress& progress,
+    const std::function<bool(const metrics::Snapshot&)>& announce,
+    const std::function<void(bool replayed)>& after_pass) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(config.duration_s);
+  for (std::size_t cycle = 0; g_serve_stop == 0; ++cycle) {
+    const bool replaying = !runs.empty() && !progress.finished();
+    bool whole_cycle = replaying;
+    for (std::size_t r = 0; whole_cycle && r < runs.size(); ++r) {
+      const auto& announcements = runs[r].announcements;
+      // Each canonical run is announced as its own fleet node, so the
+      // five workloads shard as five monitored nodes.
+      const std::string node_ip = replay_node_ip(r);
+      for (std::size_t n = 0;
+           whole_cycle && n < kAnnouncesPerCycle && !announcements.empty();
+           ++n) {
+        metrics::Snapshot snapshot =
+            announcements[(cycle * kAnnouncesPerCycle + n) %
+                          announcements.size()];
+        snapshot.node_ip = node_ip;
+        whole_cycle = announce(snapshot);
+      }
+    }
+    if (whole_cycle) progress.cycles_done.fetch_add(1);
+    after_pass(replaying);
+    if (config.duration_s > 0 &&
+        std::chrono::steady_clock::now() >= deadline)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+}
+
 }  // namespace
 
 std::string replay_node_ip(std::size_t run_index) {
@@ -152,8 +206,8 @@ std::string composition_text(const core::OnlineClassifier& online) {
     char coverage[32];
     std::snprintf(coverage, sizeof coverage, "%.17g", node.coverage);
     out << coverage << " stable "
-        << (node.stable_class ? label_name(*node.stable_class) : "-")
-        << " candidate " << label_name(node.candidate) << " streak "
+        << (node.stable_class ? core::to_string(*node.stable_class) : "-")
+        << " candidate " << core::to_string(node.candidate) << " streak "
         << node.candidate_streak << " window ";
     if (node.window.empty()) {
       out << '-';
@@ -161,7 +215,7 @@ std::string composition_text(const core::OnlineClassifier& online) {
       for (std::size_t i = 0; i < node.window.size(); ++i) {
         if (i) out << ',';
         out << node.window[i].first << ':'
-            << label_name(node.window[i].second);
+            << core::to_string(node.window[i].second);
       }
     }
     out << '\n';
@@ -181,8 +235,8 @@ std::string merge_composition_texts(const std::vector<std::string>& parts) {
     for (const char* key : {"classified ", "abstained "}) {
       if (!std::getline(in, line) || line.rfind(key, 0) != 0)
         throw std::runtime_error("merge: missing counter line");
-      const auto value = parse_int(line.substr(std::strlen(key)));
-      if (!value || *value < 0)
+      const auto value = common::parse_int(line.substr(std::strlen(key)));
+      if (!value)
         throw std::runtime_error("merge: bad counter value");
       (key[0] == 'c' ? classified : abstained) +=
           static_cast<std::uint64_t>(*value);
@@ -214,74 +268,65 @@ ParseResult parse_serve_args(const std::string& model_path,
                              const std::vector<std::string>& flags) {
   ServeOptions config;
   config.model_path = model_path;
+  auto sync_every = static_cast<long long>(config.wal.sync_every);
+  const NumericFlag numeric_flags[] = {
+      {"--drift-window=", &config.drift_window, 0, kNoMax,
+       "serve: bad drift window '%s'\n"},
+      {"--port=", &config.port, 0, 65535, "serve: bad port '%s'\n"},
+      {"--ingest-port=", &config.ingest_port, 0, 65535,
+       "serve: bad ingest port '%s'\n"},
+      {"--duration=", &config.duration_s, 0, kNoMax,
+       "serve: bad duration '%s'\n"},
+      {"--cycles=", &config.cycles, 0, kNoMax,
+       "serve: bad cycle count '%s'\n"},
+      {"--sync-every=", &sync_every, 1, kNoMax,
+       "serve: bad sync interval '%s'\n"},
+      {"--checkpoint-every=", &config.checkpoint_every, 1, kNoMax,
+       "serve: bad checkpoint interval '%s'\n"},
+      {"--max-backlog=", &config.max_backlog, 0, kNoMax,
+       "serve: bad backlog bound '%s'\n"},
+      {"--fleet-scrape-every=", &config.fleet_scrape_every_ms, 1, kNoMax,
+       "serve: bad fleet scrape period '%s'\n", true},
+      {"--slo-freshness-ms=", &config.slo_freshness_ms, 1, kNoMax,
+       "serve: bad freshness threshold '%s'\n", true},
+      {"--slo-window=", &config.slo_window_s, 1, 86400,
+       "serve: bad SLO window '%s' (seconds, <= 1d)\n", true},
+      {"--slo-objective=", &config.slo_objective_pct, 1, 99,
+       "serve: bad SLO objective '%s' (percent, 1-99)\n", true},
+  };
   bool saw_fleet_flag = false;
   for (const auto& flag : flags) {
-    if (flag.rfind("--mode=", 0) == 0) {
+    const NumericFlag* numeric = std::find_if(
+        std::begin(numeric_flags), std::end(numeric_flags),
+        [&flag](const NumericFlag& f) { return flag.starts_with(f.prefix); });
+    if (numeric != std::end(numeric_flags)) {
+      const std::string value = flag.substr(numeric->prefix.size());
+      const auto parsed = common::parse_int(value);
+      if (!parsed || *parsed < numeric->min || *parsed > numeric->max) {
+        std::fprintf(stderr, numeric->error, value.c_str());
+        return {};
+      }
+      *numeric->target = *parsed;
+      saw_fleet_flag = saw_fleet_flag || numeric->coordinator_only;
+    } else if (flag.rfind("--mode=", 0) == 0) {
       const std::string name = flag.substr(std::strlen("--mode="));
-      if (name == "single") {
-        config.mode = ServeMode::kSingle;
-      } else if (name == "worker") {
-        config.mode = ServeMode::kWorker;
-      } else if (name == "coordinator") {
-        config.mode = ServeMode::kCoordinator;
-      } else {
+      const auto mode = std::find(kModeNames.begin(), kModeNames.end(), name);
+      if (mode == kModeNames.end()) {
         std::fprintf(stderr,
                      "serve: bad mode '%s' (expected single, worker, "
                      "coordinator)\n",
                      name.c_str());
         return {};
       }
-    } else if (flag.rfind("--drift-window=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--drift-window=")));
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "serve: bad drift window '%s'\n",
-                     flag.substr(std::strlen("--drift-window=")).c_str());
-        return {};
-      }
-      config.drift_window = *parsed;
-    } else if (flag.rfind("--port=", 0) == 0) {
-      const auto parsed = parse_int(flag.substr(std::strlen("--port=")));
-      if (!parsed || *parsed < 0 || *parsed > 65535) {
-        std::fprintf(stderr, "serve: bad port '%s'\n",
-                     flag.substr(std::strlen("--port=")).c_str());
-        return {};
-      }
-      config.port = *parsed;
-    } else if (flag.rfind("--ingest-port=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--ingest-port=")));
-      if (!parsed || *parsed < 0 || *parsed > 65535) {
-        std::fprintf(stderr, "serve: bad ingest port '%s'\n",
-                     flag.substr(std::strlen("--ingest-port=")).c_str());
-        return {};
-      }
-      config.ingest_port = *parsed;
-    } else if (flag.rfind("--duration=", 0) == 0) {
-      const auto parsed = parse_int(flag.substr(std::strlen("--duration=")));
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "serve: bad duration '%s'\n",
-                     flag.substr(std::strlen("--duration=")).c_str());
-        return {};
-      }
-      config.duration_s = *parsed;
-    } else if (flag.rfind("--cycles=", 0) == 0) {
-      const auto parsed = parse_int(flag.substr(std::strlen("--cycles=")));
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "serve: bad cycle count '%s'\n",
-                     flag.substr(std::strlen("--cycles=")).c_str());
-        return {};
-      }
-      config.cycles = *parsed;
+      config.mode = static_cast<ServeMode>(mode - kModeNames.begin());
     } else if (flag.rfind("--workers=", 0) == 0) {
-      for (const std::string& token :
-           split_list(flag.substr(std::strlen("--workers=")), ',')) {
-        const auto ports = split_list(token, ':');
-        std::optional<long long> scrape, ingest;
-        if (ports.size() == 2) {
-          scrape = parse_int(ports[0]);
-          ingest = parse_int(ports[1]);
-        }
+      std::istringstream list(flag.substr(std::strlen("--workers=")));
+      for (std::string token; std::getline(list, token, ',');) {
+        const std::size_t colon = token.find(':');
+        const auto scrape = common::parse_int(token.substr(0, colon));
+        const auto ingest = colon == std::string::npos
+                                ? std::nullopt
+                                : common::parse_int(token.substr(colon + 1));
         if (!scrape || !ingest || *scrape < 1 || *scrape > 65535 ||
             *ingest < 1 || *ingest > 65535) {
           std::fprintf(stderr,
@@ -316,75 +361,6 @@ ParseResult parse_serve_args(const std::string& model_path,
         return {};
       }
       config.wal.fsync = *policy;
-    } else if (flag.rfind("--sync-every=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--sync-every=")));
-      if (!parsed || *parsed < 1) {
-        std::fprintf(stderr, "serve: bad sync interval '%s'\n",
-                     flag.substr(std::strlen("--sync-every=")).c_str());
-        return {};
-      }
-      config.wal.sync_every = static_cast<std::size_t>(*parsed);
-    } else if (flag.rfind("--checkpoint-every=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--checkpoint-every=")));
-      if (!parsed || *parsed < 1) {
-        std::fprintf(stderr, "serve: bad checkpoint interval '%s'\n",
-                     flag.substr(std::strlen("--checkpoint-every=")).c_str());
-        return {};
-      }
-      config.checkpoint_every = *parsed;
-    } else if (flag.rfind("--max-backlog=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--max-backlog=")));
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "serve: bad backlog bound '%s'\n",
-                     flag.substr(std::strlen("--max-backlog=")).c_str());
-        return {};
-      }
-      config.max_backlog = *parsed;
-    } else if (flag.rfind("--fleet-scrape-every=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--fleet-scrape-every=")));
-      if (!parsed || *parsed < 1) {
-        std::fprintf(
-            stderr, "serve: bad fleet scrape period '%s'\n",
-            flag.substr(std::strlen("--fleet-scrape-every=")).c_str());
-        return {};
-      }
-      config.fleet_scrape_every_ms = *parsed;
-      saw_fleet_flag = true;
-    } else if (flag.rfind("--slo-freshness-ms=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--slo-freshness-ms=")));
-      if (!parsed || *parsed < 1) {
-        std::fprintf(stderr, "serve: bad freshness threshold '%s'\n",
-                     flag.substr(std::strlen("--slo-freshness-ms=")).c_str());
-        return {};
-      }
-      config.slo_freshness_ms = *parsed;
-      saw_fleet_flag = true;
-    } else if (flag.rfind("--slo-window=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--slo-window=")));
-      if (!parsed || *parsed < 1 || *parsed > 86400) {
-        std::fprintf(stderr, "serve: bad SLO window '%s' (seconds, <= 1d)\n",
-                     flag.substr(std::strlen("--slo-window=")).c_str());
-        return {};
-      }
-      config.slo_window_s = *parsed;
-      saw_fleet_flag = true;
-    } else if (flag.rfind("--slo-objective=", 0) == 0) {
-      const auto parsed =
-          parse_int(flag.substr(std::strlen("--slo-objective=")));
-      if (!parsed || *parsed < 1 || *parsed > 99) {
-        std::fprintf(stderr,
-                     "serve: bad SLO objective '%s' (percent, 1-99)\n",
-                     flag.substr(std::strlen("--slo-objective=")).c_str());
-        return {};
-      }
-      config.slo_objective_pct = *parsed;
-      saw_fleet_flag = true;
     } else if (flag == "--supervised") {
       config.supervised = true;
     } else {
@@ -393,38 +369,32 @@ ParseResult parse_serve_args(const std::string& model_path,
     }
   }
 
+  config.wal.sync_every = static_cast<std::size_t>(sync_every);
+
   // Per-mode flag validity: one parser, three modes, no silent ignores.
-  if (config.mode != ServeMode::kCoordinator && !config.workers.empty()) {
-    std::fprintf(stderr,
-                 "serve: --workers only applies to --mode=coordinator\n");
-    return {};
-  }
-  if (config.mode != ServeMode::kWorker && config.ingest_port != 0) {
-    std::fprintf(stderr,
-                 "serve: --ingest-port only applies to --mode=worker\n");
-    return {};
-  }
-  if (config.mode == ServeMode::kWorker && config.cycles != 0) {
-    std::fprintf(stderr,
-                 "serve: --cycles applies to the replaying modes (single, "
-                 "coordinator), not worker\n");
-    return {};
-  }
-  if (config.mode != ServeMode::kCoordinator && saw_fleet_flag) {
-    std::fprintf(stderr,
-                 "serve: --fleet-scrape-every/--slo-* only apply to "
-                 "--mode=coordinator\n");
-    return {};
-  }
-  if (config.mode == ServeMode::kCoordinator) {
-    if (config.workers.empty()) {
-      std::fprintf(stderr, "serve: --mode=coordinator requires --workers\n");
-      return {};
-    }
-    if (!config.state_dir.empty()) {
-      std::fprintf(stderr,
-                   "serve: the coordinator is stateless; --state-dir "
-                   "belongs on the workers\n");
+  // The first misuse found is the one reported.
+  const bool coordinator = config.mode == ServeMode::kCoordinator;
+  const bool worker = config.mode == ServeMode::kWorker;
+  const std::pair<bool, const char*> misuses[] = {
+      {!coordinator && !config.workers.empty(),
+       "serve: --workers only applies to --mode=coordinator\n"},
+      {!worker && config.ingest_port != 0,
+       "serve: --ingest-port only applies to --mode=worker\n"},
+      {worker && config.cycles != 0,
+       "serve: --cycles applies to the replaying modes (single, "
+       "coordinator), not worker\n"},
+      {!coordinator && saw_fleet_flag,
+       "serve: --fleet-scrape-every/--slo-* only apply to "
+       "--mode=coordinator\n"},
+      {coordinator && config.workers.empty(),
+       "serve: --mode=coordinator requires --workers\n"},
+      {coordinator && !config.state_dir.empty(),
+       "serve: the coordinator is stateless; --state-dir belongs on the "
+       "workers\n"},
+  };
+  for (const auto& [misused, message] : misuses) {
+    if (misused) {
+      std::fputs(message, stderr);
       return {};
     }
   }
@@ -434,6 +404,18 @@ ParseResult parse_serve_args(const std::string& model_path,
 ServeApp::ServeApp(ServeOptions options) : options_(std::move(options)) {}
 
 int ServeApp::run_mode() {
+  // Every mode's prologue: the stop signals, then the restart ordinal.
+  // Under --supervised the watchdog's registry lives in another process;
+  // the ordinal reaches the worker's /metrics via environment.
+  g_serve_stop = 0;
+  std::signal(SIGTERM, handle_serve_signal);
+  std::signal(SIGINT, handle_serve_signal);
+  if (const char* env = std::getenv(persist::kRestartsEnvVar)) {
+    if (const auto ordinal = common::parse_int(env))
+      obs::MetricsRegistry::global()
+          .gauge("appclass_supervised_restart_ordinal")
+          .set(static_cast<double>(*ordinal));
+  }
   return options_.mode == ServeMode::kCoordinator ? run_coordinator()
                                                   : run_node();
 }
@@ -460,19 +442,13 @@ int ServeApp::run() {
 int ServeApp::run_node() {
   const ServeOptions& config = options_;
   const bool is_worker = config.mode == ServeMode::kWorker;
-  install_serve_signals();
-  export_restart_ordinal();
 
   core::ClassificationPipeline pipeline =
       core::load_pipeline_file(config.model_path);
   pipeline.set_parallelism(config.threads);
 
-  std::vector<core::RecordedRun> runs;
-  if (!is_worker) {
-    std::printf("recording canonical workload streams for replay...\n");
-    std::fflush(stdout);
-    runs = core::record_canonical_runs();
-  }
+  const std::vector<core::RecordedRun> runs =
+      is_worker ? std::vector<core::RecordedRun>() : record_replay_runs();
 
   monitor::MetricBus bus;
   engine::FleetStream stream(pipeline, config.online,
@@ -487,6 +463,11 @@ int ServeApp::run_node() {
       static_cast<std::size_t>(config.drift_window)));
   stream.online().attach_health(&health);
   obs::ModelHealth::set_instance(&health);
+  // Unpublished on every exit, before `health` is destroyed.
+  const std::unique_ptr<obs::ModelHealth, void (*)(obs::ModelHealth*)>
+      published(&health, [](obs::ModelHealth*) {
+        obs::ModelHealth::set_instance(nullptr);
+      });
 
   // Crash safety: recover checkpoint + WAL tail, then log every accepted
   // push (under the stream lock, so log order == ingest order) and
@@ -497,7 +478,6 @@ int ServeApp::run_node() {
     if (::mkdir(config.state_dir.c_str(), 0755) != 0 && errno != EEXIST) {
       std::fprintf(stderr, "serve: cannot create state dir %s: %s\n",
                    config.state_dir.c_str(), std::strerror(errno));
-      obs::ModelHealth::set_instance(nullptr);
       return 1;
     }
     const persist::RecoveryReport report =
@@ -524,11 +504,21 @@ int ServeApp::run_node() {
   // against a concurrent drain.
   std::mutex state_mutex;
 
-  // Checkpoint barrier: WAL synced first so the claimed horizon is
+  // Folds the buffered snapshots into the classifier. With a state dir,
+  // every --checkpoint-every non-empty drains and the `final` one end in
+  // a checkpoint barrier: WAL synced first so the claimed horizon is
   // durable, then the state image lands atomically, then fully-covered
-  // segments are pruned. Callers hold state_mutex.
-  const auto write_state_checkpoint = [&] {
-    if (!wal) return;
+  // segments are pruned.
+  std::size_t classified = 0;
+  long long drains_since_checkpoint = 0;
+  const auto drain = [&](bool final) {
+    const std::lock_guard lock(state_mutex);
+    const std::size_t drained = stream.drain();
+    classified += drained;
+    if (drained > 0) ++drains_since_checkpoint;
+    if (!wal || (!final && drains_since_checkpoint < config.checkpoint_every))
+      return;
+    drains_since_checkpoint = 0;
     wal->sync();
     persist::CheckpointData data;
     data.wal_next =
@@ -549,32 +539,21 @@ int ServeApp::run_node() {
     listener.emplace(
         dist::IngestListenerOptions{
             .port = static_cast<std::uint16_t>(config.ingest_port),
-            .sampling_interval_s = config.online.sampling_interval_s,
-            .bind_retries = 4},
+            .sampling_interval_s = config.online.sampling_interval_s},
         [&stream](const metrics::Snapshot& snapshot) {
           return stream.push(snapshot);
         },
         recovered_wal_next);
     if (!listener->start()) {
-      obs::ModelHealth::set_instance(nullptr);
       std::fprintf(stderr, "serve: cannot bind ingest port %lld\n",
                    config.ingest_port);
       return 1;
     }
   }
 
-  std::atomic<std::uint64_t> announced{0};
-  std::atomic<long long> cycles_done{0};
-  std::atomic<bool> replay_complete{false};
+  ReplayProgress progress{config.cycles};
 
-  obs::ScrapeServer server(
-      {.bind_address = "127.0.0.1",
-       .port = static_cast<std::uint16_t>(config.port),
-       // A restarted worker may race its predecessor's dying socket.
-       .bind_retries = 4,
-       // Trace dumps walk every thread ring under locks; a scrape loop
-       // pointed at /traces/recent must not become a recording stall.
-       .trace_dump_min_interval_ms = 100});
+  obs::ScrapeServer server(scrape_options(config));
   server.add_route("/classes", "application/json",
                    [&health] { return health.classes_json(); });
   server.add_route("/drift", "application/json",
@@ -604,10 +583,10 @@ int ServeApp::run_node() {
               << ",\"connections\":" << listener->connections() << "}";
         } else {
           out << "{\"mode\":\"single\",\"cycles\":" << config.cycles
-              << ",\"cycles_done\":" << cycles_done.load()
-              << ",\"announced\":" << announced.load()
+              << ",\"cycles_done\":" << progress.cycles_done.load()
+              << ",\"announced\":" << progress.announced.load()
               << ",\"backlog\":" << stream.backlog() << ",\"complete\":"
-              << (replay_complete.load() ? "true" : "false") << "}";
+              << (progress.delivered.load() ? "true" : "false") << "}";
         }
         return out.str();
       });
@@ -615,12 +594,7 @@ int ServeApp::run_node() {
     const obs::ModelHealth::Status status = health.status();
     return obs::HealthVerdict{status.healthy, status.reason_json};
   });
-  if (!server.start()) {
-    if (listener) listener->stop();
-    obs::ModelHealth::set_instance(nullptr);
-    std::fprintf(stderr, "serve: cannot bind 127.0.0.1:%lld\n", config.port);
-    return 1;
-  }
+  if (!start_scrape(server, config)) return 1;
   std::printf("serving on 127.0.0.1:%u (/metrics /healthz /traces/recent"
               " /classes /drift /nodes)%s%s\n",
               server.port(),
@@ -636,63 +610,25 @@ int ServeApp::run_node() {
   // (single mode; workers are fed by the listener instead). The
   // FleetStream grid-samples, batches, and classifies, so every scrape
   // sees live pipeline + engine metrics (and spans when tracing).
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(config.duration_s);
-  std::size_t classified = 0;
-  long long drains_since_checkpoint = 0;
-  for (std::size_t cycle = 0; g_serve_stop == 0; ++cycle) {
-    const bool replaying =
-        !is_worker &&
-        (config.cycles == 0 || cycles_done.load() < config.cycles);
-    if (replaying) {
-      for (std::size_t r = 0; r < runs.size(); ++r) {
-        const auto& run = runs[r];
-        if (run.announcements.empty()) continue;
-        // Each canonical run is announced as its own fleet node, so the
-        // five workloads shard as five monitored nodes.
-        const std::string node_ip = replay_node_ip(r);
-        for (std::size_t n = 0; n < kAnnouncesPerCycle; ++n) {
-          metrics::Snapshot snapshot =
-              run.announcements[(cycle * kAnnouncesPerCycle + n) %
-                                run.announcements.size()];
-          snapshot.node_ip = node_ip;
-          bus.announce(snapshot);
-          announced.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      cycles_done.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::size_t drained = 0;
-    {
-      const std::lock_guard lock(state_mutex);
-      drained = stream.drain();
-      classified += drained;
-      if (drained > 0 &&
-          ++drains_since_checkpoint >= config.checkpoint_every) {
-        write_state_checkpoint();
-        drains_since_checkpoint = 0;
-      }
-    }
-    if (!is_worker && config.cycles > 0 &&
-        cycles_done.load() >= config.cycles && stream.backlog() == 0)
-      replay_complete.store(true, std::memory_order_release);
-    if (config.duration_s > 0 &&
-        std::chrono::steady_clock::now() >= deadline)
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
+  run_replay_loop(
+      config, runs, progress,
+      [&](const metrics::Snapshot& snapshot) {
+        bus.announce(snapshot);
+        progress.announced.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      },
+      [&](bool) {
+        drain(false);
+        if (!runs.empty() && progress.finished() && stream.backlog() == 0)
+          progress.delivered.store(true, std::memory_order_release);
+      });
 
   // Graceful shutdown: stop accepting, fold in whatever is buffered,
   // make the log durable, and leave a checkpoint covering all of it.
   if (listener) listener->stop();
   stream.detach();
-  {
-    const std::lock_guard lock(state_mutex);
-    classified += stream.drain();
-    write_state_checkpoint();
-  }
+  drain(true);
   server.stop();
-  obs::ModelHealth::set_instance(nullptr);
   if (g_serve_stop != 0) std::printf("shutdown signal: drained and flushed\n");
   if (is_worker)
     std::printf("served %llu ingested frames (%zu classified)\n",
@@ -701,19 +637,15 @@ int ServeApp::run_node() {
                 classified);
   else
     std::printf("served %zu announcements (%zu classified)\n",
-                static_cast<std::size_t>(announced.load()), classified);
+                static_cast<std::size_t>(progress.announced.load()),
+                classified);
   std::printf("%s\n", health.summary_line().c_str());
   return 0;
 }
 
 int ServeApp::run_coordinator() {
   const ServeOptions& config = options_;
-  install_serve_signals();
-  export_restart_ordinal();
-
-  std::printf("recording canonical workload streams for replay...\n");
-  std::fflush(stdout);
-  const auto runs = core::record_canonical_runs();
+  const std::vector<core::RecordedRun> runs = record_replay_runs();
 
   // SLO verdict for the whole fleet: freshness fed by the links' durable
   // acks (below), availability by the federation scraper's probe results.
@@ -741,9 +673,7 @@ int ServeApp::run_coordinator() {
 
   auto& announced_total =
       obs::MetricsRegistry::global().counter("appclass_dist_announced_total");
-  std::atomic<std::uint64_t> announced{0};
-  std::atomic<long long> cycles_done{0};
-  std::atomic<bool> flushed{false};
+  ReplayProgress progress{config.cycles};
 
   // --- Metrics federation -----------------------------------------------
   // A background scraper pulls every worker's /metrics on a fixed
@@ -769,60 +699,6 @@ int ServeApp::run_coordinator() {
       config.workers.size());
   obs::BoundedLabelSet worker_labels(config.workers.size() + 1);
   std::atomic<bool> fleet_stop{false};
-  std::thread fleet_thread([&] {
-    while (!fleet_stop.load(std::memory_order_acquire)) {
-      const auto scrape_start = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < config.workers.size(); ++i) {
-        const WorkerEndpoint& worker = config.workers[i];
-        const dist::HttpResult res =
-            dist::http_get_ex(worker.host, worker.scrape_port, "/metrics");
-        slo.record_availability(res.ok(), obs::SloTracker::now_s());
-        std::optional<obs::RegistrySnapshot> parsed;
-        if (res.ok()) parsed = obs::parse_prometheus(res.body);
-        const std::lock_guard lock(fleet_mutex);
-        WorkerScrape& health = worker_scrapes[i];
-        ++health.scrapes;
-        if (parsed) {
-          health.consecutive_failures = 0;
-          health.last_error = "ok";
-          health.last_bytes = res.body.size();
-          last_parsed[i] = std::move(parsed);
-        } else {
-          ++health.failures;
-          ++health.consecutive_failures;
-          if (res.ok()) {
-            // Reachable but emitting text the parser rejects — a schema
-            // mismatch worth distinguishing from a dead worker.
-            ++health.parse_errors;
-            health.last_error = "parse";
-          } else {
-            health.last_error = dist::to_string(res.error);
-          }
-        }
-      }
-      {
-        const std::lock_guard lock(fleet_mutex);
-        std::vector<obs::FederationPart> parts;
-        for (std::size_t i = 0; i < last_parsed.size(); ++i)
-          if (last_parsed[i])
-            parts.push_back({std::to_string(i), *last_parsed[i]});
-        const obs::FederationResult merged =
-            obs::federate_snapshots(parts, &worker_labels);
-        fleet_metrics_text = obs::to_prometheus(merged.merged);
-        fleet_dropped_series = merged.dropped_series;
-        fleet_last_scrape_us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - scrape_start)
-                .count();
-      }
-      // Sleep the period in small slices so shutdown stays prompt.
-      for (long long slept = 0;
-           slept < config.fleet_scrape_every_ms &&
-           !fleet_stop.load(std::memory_order_acquire);
-           slept += 20)
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  });
 
   // All merge routes are assembled by scraping the workers' own
   // read-only routes — the coordinator holds no classifier state.
@@ -837,11 +713,7 @@ int ServeApp::run_coordinator() {
     return bodies;
   };
 
-  obs::ScrapeServer server(
-      {.bind_address = "127.0.0.1",
-       .port = static_cast<std::uint16_t>(config.port),
-       .bind_retries = 4,
-       .trace_dump_min_interval_ms = 100});
+  obs::ScrapeServer server(scrape_options(config));
   server.add_route("/composition", "text/plain; version=1", [&] {
     const auto parts = fetch_all("/composition");
     if (!parts) return std::string("merge-error: worker unreachable\n");
@@ -915,28 +787,20 @@ int ServeApp::run_coordinator() {
     // Complete = every frame sent, acked (durable in a worker WAL), and
     // drained out of every worker's backlog — after which the merged
     // composition is final and safe to byte-compare.
-    bool complete = config.cycles > 0 &&
-                    cycles_done.load() >= config.cycles && flushed.load();
+    bool complete = progress.finished() && progress.delivered.load();
     if (complete) {
-      for (const WorkerEndpoint& worker : config.workers) {
-        const auto body =
-            dist::http_get(worker.host, worker.scrape_port, "/replay");
-        const std::size_t at =
-            body ? body->find("\"backlog\":") : std::string::npos;
-        if (at == std::string::npos ||
-            body->compare(at + 10, 1, "0") != 0 ||
-            (body->size() > at + 11 &&
-             std::isdigit(static_cast<unsigned char>((*body)[at + 11])))) {
-          complete = false;
-          break;
-        }
-      }
+      const auto parts = fetch_all("/replay");
+      complete = parts && std::all_of(parts->begin(), parts->end(),
+                                      [](const std::string& body) {
+                                        return body.find("\"backlog\":0,") !=
+                                               std::string::npos;
+                                      });
     }
     std::ostringstream out;
     out << "{\"mode\":\"coordinator\",\"cycles\":" << config.cycles
-        << ",\"cycles_done\":" << cycles_done.load()
-        << ",\"announced\":" << announced.load()
-        << ",\"flushed\":" << (flushed.load() ? "true" : "false")
+        << ",\"cycles_done\":" << progress.cycles_done.load()
+        << ",\"announced\":" << progress.announced.load()
+        << ",\"flushed\":" << (progress.delivered.load() ? "true" : "false")
         << ",\"complete\":" << (complete ? "true" : "false") << "}";
     return out.str();
   });
@@ -999,12 +863,62 @@ int ServeApp::run_coordinator() {
     const std::int64_t now = obs::SloTracker::now_s();
     return obs::HealthVerdict{slo.healthy(now), slo.to_json(now)};
   });
-  if (!server.start()) {
-    fleet_stop.store(true, std::memory_order_release);
-    fleet_thread.join();
-    std::fprintf(stderr, "serve: cannot bind 127.0.0.1:%lld\n", config.port);
-    return 1;
-  }
+  if (!start_scrape(server, config)) return 1;
+  // The federation scraper (state above) runs once the endpoint is bound.
+  std::thread fleet_thread([&] {
+    while (!fleet_stop.load(std::memory_order_acquire)) {
+      const auto scrape_start = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < config.workers.size(); ++i) {
+        const WorkerEndpoint& worker = config.workers[i];
+        const dist::HttpResult res =
+            dist::http_get_ex(worker.host, worker.scrape_port, "/metrics");
+        slo.record_availability(res.ok(), obs::SloTracker::now_s());
+        std::optional<obs::RegistrySnapshot> parsed;
+        if (res.ok()) parsed = obs::parse_prometheus(res.body);
+        const std::lock_guard lock(fleet_mutex);
+        WorkerScrape& health = worker_scrapes[i];
+        ++health.scrapes;
+        if (parsed) {
+          health.consecutive_failures = 0;
+          health.last_error = "ok";
+          health.last_bytes = res.body.size();
+          last_parsed[i] = std::move(parsed);
+        } else {
+          ++health.failures;
+          ++health.consecutive_failures;
+          if (res.ok()) {
+            // Reachable but emitting text the parser rejects — a schema
+            // mismatch worth distinguishing from a dead worker.
+            ++health.parse_errors;
+            health.last_error = "parse";
+          } else {
+            health.last_error = dist::to_string(res.error);
+          }
+        }
+      }
+      {
+        const std::lock_guard lock(fleet_mutex);
+        std::vector<obs::FederationPart> parts;
+        for (std::size_t i = 0; i < last_parsed.size(); ++i)
+          if (last_parsed[i])
+            parts.push_back({std::to_string(i), *last_parsed[i]});
+        const obs::FederationResult merged =
+            obs::federate_snapshots(parts, &worker_labels);
+        fleet_metrics_text = obs::to_prometheus(merged.merged);
+        fleet_dropped_series = merged.dropped_series;
+        fleet_last_scrape_us =
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - scrape_start)
+                .count();
+      }
+      // Sleep the period in small slices so shutdown stays prompt.
+      for (long long slept = 0;
+           slept < config.fleet_scrape_every_ms &&
+           !fleet_stop.load(std::memory_order_acquire);
+           slept += 20)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  });
   std::printf("coordinating %zu workers on 127.0.0.1:%u (/metrics /healthz"
               " /composition /classes /appdb /workers /replay"
               " /fleet/metrics /fleet/workers /fleet/traces /slo)%s\n",
@@ -1012,49 +926,31 @@ int ServeApp::run_coordinator() {
               config.duration_s > 0 ? "" : "; interrupt to stop");
   std::fflush(stdout);
 
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(config.duration_s);
-  for (std::size_t cycle = 0; g_serve_stop == 0; ++cycle) {
-    const bool replaying =
-        config.cycles == 0 || cycles_done.load() < config.cycles;
-    if (replaying) {
-      for (std::size_t r = 0; r < runs.size(); ++r) {
-        const auto& run = runs[r];
-        if (run.announcements.empty()) continue;
-        const std::string node_ip = replay_node_ip(r);
-        const std::size_t shard = shard_map.shard_for(node_ip);
-        for (std::size_t n = 0; n < kAnnouncesPerCycle; ++n) {
-          metrics::Snapshot snapshot =
-              run.announcements[(cycle * kAnnouncesPerCycle + n) %
-                                run.announcements.size()];
-          // The coordinator filters to the sampling grid *before*
-          // numbering frames — that is what keeps frame seq == worker
-          // WAL seq, the invariant exactly-once resume rests on.
-          if (snapshot.time % config.online.sampling_interval_s != 0)
-            continue;
-          snapshot.node_ip = node_ip;
-          obs::TraceSpan span("dist_announce");
-          if (span.recording()) {
-            span.add_attr({"node", node_ip});
-            span.add_attr({"shard", shard});
-          }
-          if (!links[shard]->send(snapshot, span.context())) break;
-          announced.fetch_add(1, std::memory_order_relaxed);
-          announced_total.inc();
+  run_replay_loop(
+      config, runs, progress,
+      [&](const metrics::Snapshot& snapshot) {
+        // The coordinator filters to the sampling grid *before* numbering
+        // frames — that is what keeps frame seq == worker WAL seq, the
+        // invariant exactly-once resume rests on.
+        if (snapshot.time % config.online.sampling_interval_s != 0)
+          return true;
+        const std::size_t shard = shard_map.shard_for(snapshot.node_ip);
+        obs::TraceSpan span("dist_announce");
+        if (span.recording()) {
+          span.add_attr({"node", snapshot.node_ip});
+          span.add_attr({"shard", shard});
         }
-      }
-      if (g_serve_stop == 0) cycles_done.fetch_add(1);
-      if (config.cycles > 0 && cycles_done.load() >= config.cycles) {
+        if (!links[shard]->send(snapshot, span.context())) return false;
+        progress.announced.fetch_add(1, std::memory_order_relaxed);
+        announced_total.inc();
+        return true;
+      },
+      [&](bool replayed) {
+        if (!replayed || !progress.finished()) return;
         bool all = true;
         for (const auto& link : links) all = link->flush() && all;
-        if (all) flushed.store(true, std::memory_order_release);
-      }
-    }
-    if (config.duration_s > 0 &&
-        std::chrono::steady_clock::now() >= deadline)
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
+        if (all) progress.delivered.store(true, std::memory_order_release);
+      });
 
   // Shutdown: push what remains to the workers (bounded by the stop
   // flag — a dead worker cannot wedge a terminating coordinator).
@@ -1068,7 +964,7 @@ int ServeApp::run_coordinator() {
   server.stop();
   if (g_serve_stop != 0) std::printf("shutdown signal: links flushed\n");
   std::printf("announced %llu frames to %zu workers (%llu acked)\n",
-              static_cast<unsigned long long>(announced.load()),
+              static_cast<unsigned long long>(progress.announced.load()),
               links.size(), static_cast<unsigned long long>(acked));
   return 0;
 }

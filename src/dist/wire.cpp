@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 #include "common/hash.hpp"
 #include "monitor/wire.hpp"
 
@@ -14,27 +15,6 @@ namespace {
 constexpr std::uint32_t kFrameMagic = 0x41534E50;  // "ASNP"
 constexpr std::uint32_t kHelloMagic = 0x41534E48;  // "ASNH"
 constexpr std::uint32_t kAckMagic = 0x41534E41;    // "ASNA"
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8)
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8)
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
-         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
-}
 
 }  // namespace
 
@@ -65,16 +45,17 @@ std::vector<std::uint8_t> encode_frame(const metrics::Snapshot& snapshot,
   APPCLASS_EXPECTS(!payload.empty() && payload.size() <= kMaxFramePayload);
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderBytes + payload.size() + 8);
-  put_u32(out, kFrameMagic);
+  common::put_be32(out, kFrameMagic);
   out.push_back(kWireVersion);
-  put_u64(out, seq);
-  put_u64(out, trace.trace_id);
-  put_u64(out, trace.span_id);
-  put_u64(out, announce_us);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  common::put_be64(out, seq);
+  common::put_be64(out, trace.trace_id);
+  common::put_be64(out, trace.span_id);
+  common::put_be64(out, announce_us);
+  common::put_be32(out, static_cast<std::uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
   // Checksum covers version..payload — everything after the magic.
-  put_u64(out, common::fnv1a64(std::span<const std::uint8_t>(out).subspan(4)));
+  common::put_be64(
+      out, common::fnv1a64(std::span<const std::uint8_t>(out).subspan(4)));
   return out;
 }
 
@@ -96,19 +77,20 @@ DecodeStatus FrameDecoder::next(Frame& out) {
   const std::size_t have = buffer_.size() - pos_;
   const std::uint8_t* p = buffer_.data() + pos_;
   if (have < 4) return DecodeStatus::kNeedMore;
-  if (get_u32(p) != kFrameMagic) return DecodeStatus::kBadMagic;
+  if (common::get_be32(p) != kFrameMagic) return DecodeStatus::kBadMagic;
   if (have < 5) return DecodeStatus::kNeedMore;
   // Version is judged before anything else is trusted: an unknown schema
   // must not masquerade as corruption.
   if (p[4] != kWireVersion) return DecodeStatus::kBadVersion;
   if (have < kFrameHeaderBytes) return DecodeStatus::kNeedMore;
-  const std::uint32_t payload_len = get_u32(p + 37);
+  const std::uint32_t payload_len = common::get_be32(p + 37);
   if (payload_len == 0 || payload_len > kMaxFramePayload)
     return DecodeStatus::kBadPayload;
   const std::size_t total = kFrameHeaderBytes + payload_len + 8;
   if (have < total) return DecodeStatus::kNeedMore;
 
-  const std::uint64_t checksum = get_u64(p + kFrameHeaderBytes + payload_len);
+  const std::uint64_t checksum =
+      common::get_be64(p + kFrameHeaderBytes + payload_len);
   if (common::fnv1a64({p + 4, kFrameHeaderBytes + payload_len - 4}) != checksum)
     return DecodeStatus::kBadChecksum;
 
@@ -116,11 +98,11 @@ DecodeStatus FrameDecoder::next(Frame& out) {
       monitor::decode_packet({p + kFrameHeaderBytes, payload_len});
   if (!snapshot) return DecodeStatus::kBadPayload;
 
-  out.seq = get_u64(p + 5);
-  out.trace.trace_id = get_u64(p + 13);
-  out.trace.span_id = get_u64(p + 21);
+  out.seq = common::get_be64(p + 5);
+  out.trace.trace_id = common::get_be64(p + 13);
+  out.trace.span_id = common::get_be64(p + 21);
   out.trace.parent_span_id = 0;
-  out.announce_us = get_u64(p + 29);
+  out.announce_us = common::get_be64(p + 29);
   out.snapshot = *snapshot;
   pos_ += total;
   compact();
@@ -130,29 +112,32 @@ DecodeStatus FrameDecoder::next(Frame& out) {
 std::vector<std::uint8_t> encode_hello(const Hello& hello) {
   std::vector<std::uint8_t> out;
   out.reserve(kHelloBytes);
-  put_u32(out, kHelloMagic);
+  common::put_be32(out, kHelloMagic);
   out.push_back(kWireVersion);
-  put_u64(out, hello.wal_next);
-  put_u64(out, common::fnv1a64(std::span<const std::uint8_t>(out).subspan(4)));
+  common::put_be64(out, hello.wal_next);
+  common::put_be64(
+      out, common::fnv1a64(std::span<const std::uint8_t>(out).subspan(4)));
   APPCLASS_ENSURES(out.size() == kHelloBytes);
   return out;
 }
 
 DecodeStatus decode_hello(std::span<const std::uint8_t> bytes, Hello& out) {
   if (bytes.size() != kHelloBytes) return DecodeStatus::kBadPayload;
-  if (get_u32(bytes.data()) != kHelloMagic) return DecodeStatus::kBadMagic;
+  if (common::get_be32(bytes.data()) != kHelloMagic)
+    return DecodeStatus::kBadMagic;
   if (bytes[4] != kWireVersion) return DecodeStatus::kBadVersion;
-  if (common::fnv1a64(bytes.subspan(4, 9)) != get_u64(bytes.data() + 13))
+  if (common::fnv1a64(bytes.subspan(4, 9)) !=
+      common::get_be64(bytes.data() + 13))
     return DecodeStatus::kBadChecksum;
-  out.wal_next = get_u64(bytes.data() + 5);
+  out.wal_next = common::get_be64(bytes.data() + 5);
   return DecodeStatus::kOk;
 }
 
 std::vector<std::uint8_t> encode_ack(std::uint64_t seq) {
   std::vector<std::uint8_t> out;
   out.reserve(kAckBytes);
-  put_u32(out, kAckMagic);
-  put_u64(out, seq);
+  common::put_be32(out, kAckMagic);
+  common::put_be64(out, seq);
   APPCLASS_ENSURES(out.size() == kAckBytes);
   return out;
 }
@@ -160,8 +145,9 @@ std::vector<std::uint8_t> encode_ack(std::uint64_t seq) {
 DecodeStatus decode_ack(std::span<const std::uint8_t> bytes,
                         std::uint64_t& seq) {
   if (bytes.size() != kAckBytes) return DecodeStatus::kBadPayload;
-  if (get_u32(bytes.data()) != kAckMagic) return DecodeStatus::kBadMagic;
-  seq = get_u64(bytes.data() + 4);
+  if (common::get_be32(bytes.data()) != kAckMagic)
+    return DecodeStatus::kBadMagic;
+  seq = common::get_be64(bytes.data() + 4);
   return DecodeStatus::kOk;
 }
 

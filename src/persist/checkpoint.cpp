@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/fs.hpp"
+#include "common/text.hpp"
 #include "obs/log.hpp"
 
 namespace appclass::persist {
@@ -19,44 +20,12 @@ constexpr std::string_view kFileSuffix = ".ckpt";
 
 constexpr std::string_view kErrorPrefix = "checkpoint deserialization: ";
 
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error(std::string(kErrorPrefix) + what);
-}
-
-void expect_tag(std::istream& is, const std::string& tag) {
-  std::string got;
-  if (!(is >> got) || got != tag) fail("expected '" + tag + "'");
-}
-
-double read_double(std::istream& is) {
-  double v = 0.0;
-  if (!(is >> v)) fail("truncated number");
-  return v;
-}
-
-long long read_ll(std::istream& is) {
-  long long v = 0;
-  if (!(is >> v)) fail("truncated integer");
-  return v;
-}
-
-std::uint64_t read_u64(std::istream& is) {
-  std::uint64_t v = 0;
-  if (!(is >> v)) fail("truncated integer");
-  return v;
-}
-
-std::size_t read_size(std::istream& is) {
-  const long long v = read_ll(is);
-  if (v < 0) fail("negative count");
-  return static_cast<std::size_t>(v);
-}
-
-core::ApplicationClass read_class(std::istream& is) {
+core::ApplicationClass read_class(std::istream& is,
+                                  const common::TokenReader& in) {
   std::string name;
-  if (!(is >> name)) fail("truncated class label");
+  if (!(is >> name)) in.fail("truncated class label");
   const auto label = core::class_from_string(name);
-  if (!label) fail("unknown class '" + name + "'");
+  if (!label) in.fail("unknown class '" + name + "'");
   return *label;
 }
 
@@ -91,64 +60,65 @@ std::string encode_checkpoint(const CheckpointData& data) {
 }
 
 CheckpointData decode_checkpoint(const std::string& text) {
+  std::istringstream is(text);
+  common::TokenReader in(is, kErrorPrefix);
   std::string_view view = text;
-  if (view.empty()) fail("empty checkpoint file");
-  if (view.rfind(kMagic, 0) != 0) fail("bad magic/version header");
+  if (view.empty()) in.fail("empty checkpoint file");
+  if (view.rfind(kMagic, 0) != 0) in.fail("bad magic/version header");
 
   common::verify_checksummed(view, kErrorPrefix);
 
-  std::istringstream is(text);
   std::string line;
   if (!std::getline(is, line) || line != kMagic)
-    fail("bad magic/version header");
+    in.fail("bad magic/version header");
 
   CheckpointData data;
-  expect_tag(is, "wal-next");
-  data.wal_next = read_u64(is);
+  in.expect_tag("wal-next");
+  data.wal_next = in.read_u64();
 
-  expect_tag(is, "options");
-  data.options.sampling_interval_s = static_cast<int>(read_ll(is));
-  data.options.window = read_size(is);
-  data.options.stability = read_size(is);
-  data.options.min_coverage = read_double(is);
+  in.expect_tag("options");
+  data.options.sampling_interval_s = static_cast<int>(in.read_int());
+  data.options.window = in.read_size();
+  data.options.stability = in.read_size();
+  data.options.min_coverage = in.read_double();
 
-  expect_tag(is, "online");
-  data.online.classified = read_size(is);
-  data.online.abstained = read_size(is);
-  const std::size_t node_count = read_size(is);
+  in.expect_tag("online");
+  data.online.classified = in.read_size();
+  data.online.abstained = in.read_size();
+  const std::size_t node_count = in.read_size();
   data.online.nodes.reserve(node_count);
   for (std::size_t i = 0; i < node_count; ++i) {
-    expect_tag(is, "node");
+    in.expect_tag("node");
     core::OnlineNodeImage node;
-    if (!(is >> node.node_ip)) fail("truncated node id");
-    node.first_time = read_ll(is);
-    node.coverage = read_double(is);
+    if (!(is >> node.node_ip)) in.fail("truncated node id");
+    node.first_time = in.read_int();
+    node.coverage = in.read_double();
     std::string stable;
-    if (!(is >> stable)) fail("truncated stable class");
+    if (!(is >> stable)) in.fail("truncated stable class");
     if (stable != "-") {
       const auto label = core::class_from_string(stable);
-      if (!label) fail("unknown class '" + stable + "'");
+      if (!label) in.fail("unknown class '" + stable + "'");
       node.stable_class = *label;
     }
-    node.candidate = read_class(is);
-    node.candidate_streak = read_size(is);
-    const std::size_t window = read_size(is);
+    node.candidate = read_class(is, in);
+    node.candidate_streak = in.read_size();
+    const std::size_t window = in.read_size();
     node.window.reserve(window);
     for (std::size_t w = 0; w < window; ++w) {
-      const metrics::SimTime time = read_ll(is);
-      node.window.emplace_back(time, read_class(is));
+      const metrics::SimTime time = in.read_int();
+      node.window.emplace_back(time, read_class(is, in));
     }
     data.online.nodes.push_back(std::move(node));
   }
 
-  expect_tag(is, "appdb");
-  const std::size_t appdb_bytes = read_size(is);
-  if (!std::getline(is, line)) fail("truncated appdb section");
+  in.expect_tag("appdb");
+  const std::size_t appdb_bytes = in.read_size();
+  if (!std::getline(is, line)) in.fail("truncated appdb section");
   data.appdb_csv.resize(appdb_bytes);
   if (appdb_bytes > 0 &&
       !is.read(data.appdb_csv.data(),
                static_cast<std::streamsize>(appdb_bytes)))
-    fail("truncated appdb payload");
+    in.fail("truncated appdb payload");
   return data;
 }
 

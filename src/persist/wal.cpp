@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 #include "common/fs.hpp"
 #include "common/hash.hpp"
 #include "monitor/wire.hpp"
@@ -23,22 +24,6 @@ constexpr std::string_view kSegmentPrefix = "wal-";
 constexpr std::string_view kSegmentSuffix = ".seg";
 /// kNever flushes to the OS at this buffer size (memory bound, no fsync).
 constexpr std::size_t kNeverPolicyFlushBytes = 256 * 1024;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-std::uint64_t read_u64(const unsigned char* p, std::size_t n) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < n; ++i) v = (v << 8) | p[i];
-  return v;
-}
 
 }  // namespace
 
@@ -101,6 +86,7 @@ void WalWriter::flush_buffer() {
 }
 
 std::uint64_t WalWriter::append(const metrics::Snapshot& snapshot) {
+  const std::lock_guard lock(mutex_);
   if (crashed_ || fd_ < 0)
     throw std::runtime_error("WAL writer is closed: " + segment_path_);
 
@@ -119,24 +105,24 @@ std::uint64_t WalWriter::append(const metrics::Snapshot& snapshot) {
 
   const std::uint64_t seq = next_seq_++;
   const std::size_t body_start = buffer_.size() + 4;  // after the magic
-  put_u32(buffer_, kRecordMagic);
-  put_u64(buffer_, seq);
-  put_u32(buffer_, static_cast<std::uint32_t>(payload.size()));
+  common::put_be32(buffer_, kRecordMagic);
+  common::put_be64(buffer_, seq);
+  common::put_be32(buffer_, static_cast<std::uint32_t>(payload.size()));
   buffer_.append(reinterpret_cast<const char*>(payload.data()),
                  payload.size());
   const std::uint64_t checksum =
       common::fnv1a64(std::string_view(buffer_).substr(body_start));
-  put_u64(buffer_, checksum);
+  common::put_be64(buffer_, checksum);
   segment_bytes_ += record_size;
   ++appended_;
   ++unsynced_records_;
 
   switch (options_.fsync) {
     case FsyncPolicy::kAlways:
-      sync();
+      sync_locked();
       break;
     case FsyncPolicy::kInterval:
-      if (unsynced_records_ >= options_.sync_every) sync();
+      if (unsynced_records_ >= options_.sync_every) sync_locked();
       break;
     case FsyncPolicy::kNever:
       if (buffer_.size() >= kNeverPolicyFlushBytes) flush_buffer();
@@ -146,6 +132,11 @@ std::uint64_t WalWriter::append(const metrics::Snapshot& snapshot) {
 }
 
 void WalWriter::sync() {
+  const std::lock_guard lock(mutex_);
+  sync_locked();
+}
+
+void WalWriter::sync_locked() {
   if (crashed_ || fd_ < 0) return;
   flush_buffer();
   if (::fsync(fd_) != 0)
@@ -154,6 +145,7 @@ void WalWriter::sync() {
 }
 
 std::size_t WalWriter::prune_through(std::uint64_t seq) {
+  const std::lock_guard lock(mutex_);
   const std::vector<std::string> segments = wal_segments(dir_);
   std::size_t removed = 0;
   for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
@@ -175,6 +167,7 @@ std::size_t WalWriter::prune_through(std::uint64_t seq) {
 }
 
 void WalWriter::simulate_crash() {
+  const std::lock_guard lock(mutex_);
   // SIGKILL semantics: whatever reached write(2) survives in the page
   // cache; the user-space buffer vanishes.
   buffer_.clear();
@@ -216,18 +209,17 @@ WalScan replay_wal(const std::string& dir, std::uint64_t from_seq,
     // process that had already accepted the loss.
     while (pos < data.size()) {
       if (data.size() - pos < 4 + 8 + 4 ||
-          read_u64(bytes + pos, 4) != kRecordMagic) {
+          common::get_be32(bytes + pos) != kRecordMagic) {
         scan.truncated_tail = true;
         break;
       }
-      const std::uint64_t seq = read_u64(bytes + pos + 4, 8);
-      const std::size_t len =
-          static_cast<std::size_t>(read_u64(bytes + pos + 12, 4));
+      const std::uint64_t seq = common::get_be64(bytes + pos + 4);
+      const std::size_t len = common::get_be32(bytes + pos + 12);
       if (data.size() - pos < 4 + 8 + 4 + len + 8) {
         scan.truncated_tail = true;
         break;
       }
-      const std::uint64_t recorded = read_u64(bytes + pos + 16 + len, 8);
+      const std::uint64_t recorded = common::get_be64(bytes + pos + 16 + len);
       if (common::fnv1a64({bytes + pos + 4, 12 + len}) != recorded) {
         scan.truncated_tail = true;
         break;

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,6 +58,9 @@ struct WalOptions {
   std::size_t max_segment_bytes = 4u << 20;
 };
 
+/// append(), sync(), prune_through() and simulate_crash() may be called
+/// from different threads: a serving worker appends on its ingest thread
+/// while its drain loop runs the checkpoint barrier.
 class WalWriter {
  public:
   /// Opens (creates) `dir` for appending. `next_seq` is the sequence
@@ -96,7 +100,9 @@ class WalWriter {
  private:
   void open_segment();
   void flush_buffer();
+  void sync_locked();
 
+  std::mutex mutex_;  ///< guards the fd, the buffer and the counters
   std::string dir_;
   WalOptions options_;
   std::uint64_t next_seq_ = 0;

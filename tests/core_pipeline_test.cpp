@@ -110,12 +110,14 @@ TEST(Pipeline, VarianceThresholdPathSelectsComponents) {
 TEST(PipelineObservability, TrainAndClassifyPopulateStageHistograms) {
   auto& registry = obs::MetricsRegistry::global();
   const auto hist_count = [&](const char* stage) -> std::uint64_t {
-    const auto* h = registry.snapshot().find_histogram(
-        "appclass_stage_seconds", {{"stage", stage}});
+    const auto snapshot = registry.snapshot();
+    const auto* h = snapshot.find_histogram("appclass_stage_seconds",
+                                            {{"stage", stage}});
     return h ? h->count : 0;
   };
   const auto counter_value = [&](const char* name) -> std::uint64_t {
-    const auto* c = registry.snapshot().find_counter(name);
+    const auto snapshot = registry.snapshot();
+    const auto* c = snapshot.find_counter(name);
     return c ? c->value : 0;
   };
 

@@ -114,8 +114,9 @@ TEST(ObsTrace, CrossThreadParentingIsDeterministic) {
     });
   }
 
+  const auto events = obs::TraceRecorder::global().events();
   std::vector<const obs::TraceEvent*> tasks;
-  for (const auto& e : obs::TraceRecorder::global().events())
+  for (const auto& e : events)
     if (e.name == "pool_task") tasks.push_back(&e);
   ASSERT_EQ(tasks.size(), 2u);
   EXPECT_NE(tasks[0]->tid, tasks[1]->tid);

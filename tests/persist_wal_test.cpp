@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core_test_util.hpp"
@@ -188,6 +190,27 @@ TEST_F(WalTest, PruneDeletesCoveredSegmentsNeverTheActiveOne) {
   replay_wal(dir_, 0, [&](const WalRecord& r) { seqs.push_back(r.seq); });
   ASSERT_FALSE(seqs.empty());
   EXPECT_EQ(seqs.back(), 17u);
+}
+
+TEST_F(WalTest, SyncFromAnotherThreadNeverTearsAnAppend) {
+  // A serving worker appends on its ingest thread while its drain loop
+  // runs the checkpoint barrier's sync on another.
+  const auto snapshots = stream(20000);
+  WalWriter wal(dir_, {.fsync = FsyncPolicy::kNever});
+  std::atomic<bool> done{false};
+  std::thread barrier([&] {
+    while (!done.load()) wal.sync();
+  });
+  for (const auto& s : snapshots) wal.append(s);
+  done = true;
+  barrier.join();
+  wal.sync();
+  std::vector<std::uint64_t> seqs;
+  const WalScan scan =
+      replay_wal(dir_, 0, [&](const WalRecord& r) { seqs.push_back(r.seq); });
+  EXPECT_FALSE(scan.truncated_tail);
+  ASSERT_EQ(seqs.size(), snapshots.size());
+  for (std::size_t i = 0; i < seqs.size(); ++i) ASSERT_EQ(seqs[i], i);
 }
 
 TEST_F(WalTest, ResumesNumberingAcrossRestart) {

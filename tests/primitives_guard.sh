@@ -1,8 +1,10 @@
 #!/bin/sh
 # Fails when a primitive owned by src/common/ is implemented again
 # elsewhere under the given source tree: the FNV-1a offset bases, a
-# json_escape_into, to_hex64 or to_timeval definition, or a raw
-# socket/bind/listen/accept/connect call.
+# json_escape_into, to_hex64 or to_timeval definition, a raw
+# socket/bind/listen/accept/connect call, a put_u*/get_u* byte helper,
+# or a free read_u64/expect_tag (the token reader's members are called
+# as reader.read_u64()/reader.expect_tag()).
 #
 # usage: primitives_guard.sh <src-dir>
 src=${1:?usage: primitives_guard.sh <src-dir>}
@@ -12,6 +14,8 @@ pattern="$pattern|string[[:space:]]+to_hex64[[:space:]]*\\("
 pattern="$pattern|timeval[[:space:]]+to_timeval[[:space:]]*\\("
 pattern="$pattern|(^|[^[:alnum:]_])::"
 pattern="$pattern(socket|bind|listen|accept|connect)[[:space:]]*\\("
+pattern="$pattern|(put|get)_u(8|16|32|64)[[:space:]]*\\("
+pattern="$pattern|(^|[^.>[:alnum:]_])(read_u64|expect_tag)[[:space:]]*\\("
 
 hits=$(grep -rniE "$pattern" "$src" --include='*.cpp' --include='*.hpp' |
        grep -v "^$src/common/")

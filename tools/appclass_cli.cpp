@@ -105,6 +105,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/text.hpp"
 #include "core/feature_selection.hpp"
 #include "core/robustness.hpp"
 #include "dist/serving.hpp"
@@ -177,15 +178,6 @@ std::optional<double> parse_double(const std::string& text) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) return std::nullopt;
-  return v;
-}
-
-std::optional<long long> parse_int(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
   if (errno != 0 || end != text.c_str() + text.size()) return std::nullopt;
   return v;
 }
@@ -388,8 +380,9 @@ int cmd_chaos(const std::string& out_path,
         options.kinds.push_back(*kind);
       }
     } else if (flag.rfind("--seed=", 0) == 0) {
-      const auto seed = parse_int(flag.substr(std::strlen("--seed=")));
-      if (!seed || *seed < 0) {
+      const auto seed =
+          common::parse_int(flag.substr(std::strlen("--seed=")));
+      if (!seed) {
         std::fprintf(stderr, "chaos: bad seed '%s'\n",
                      flag.substr(std::strlen("--seed=")).c_str());
         return 2;
@@ -595,8 +588,8 @@ int main(int argc, char** argv) {
       return 2;
     } else if (arg.rfind("--stats-every=", 0) == 0) {
       const auto every =
-          parse_int(arg.substr(std::strlen("--stats-every=")));
-      if (!every || *every <= 0) {
+          common::parse_int(arg.substr(std::strlen("--stats-every=")));
+      if (!every || *every == 0) {
         std::fprintf(stderr,
                      "bad --stats-every '%s' (expected seconds >= 1)\n",
                      arg.substr(std::strlen("--stats-every=")).c_str());
@@ -613,8 +606,9 @@ int main(int argc, char** argv) {
       }
       obs::install_crash_dump(path);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      const auto threads = parse_int(arg.substr(std::strlen("--threads=")));
-      if (!threads || *threads < 0) {
+      const auto threads =
+          common::parse_int(arg.substr(std::strlen("--threads=")));
+      if (!threads) {
         std::fprintf(stderr, "bad --threads '%s' (expected 0, 1, 2, ...)\n",
                      arg.substr(std::strlen("--threads=")).c_str());
         return 2;
