@@ -82,13 +82,6 @@ int listen_tcp(const std::string& address, std::uint16_t port, int backlog,
   return fd;
 }
 
-void stop_listening(int& fd, std::thread& acceptor) {
-  ::shutdown(fd, SHUT_RDWR);
-  if (acceptor.joinable()) acceptor.join();
-  ::close(fd);
-  fd = -1;
-}
-
 int accept_connection(int listen_fd, int recv_timeout_ms,
                       int send_timeout_ms) {
   int fd = -1;
@@ -136,6 +129,47 @@ ssize_t recv_some(int fd, void* data, std::size_t size, int flags) {
     n = ::recv(fd, data, size, flags);
   } while (n < 0 && errno == EINTR);
   return n;
+}
+
+bool Acceptor::start(const std::string& address, std::uint16_t port,
+                     int backlog, int bind_retries, int io_timeout_ms,
+                     Serve serve) {
+  listen_fd_ = listen_tcp(address, port, backlog, bind_retries, port_);
+  if (listen_fd_ < 0) return false;
+  serve_ = std::move(serve);
+  running_.store(true, std::memory_order_release);
+  thread_ = std::thread([this, io_timeout_ms] { loop(io_timeout_ms); });
+  return true;
+}
+
+bool Acceptor::stop() {
+  if (!running_.exchange(false, std::memory_order_acq_rel)) return false;
+  {
+    const std::lock_guard lock(conn_mutex_);
+    if (conn_fd_ >= 0) ::shutdown(conn_fd_, SHUT_RDWR);
+  }
+  ::shutdown(listen_fd_, SHUT_RDWR);
+  thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  return true;
+}
+
+void Acceptor::loop(int io_timeout_ms) {
+  while (running()) {
+    const int fd = accept_connection(listen_fd_, io_timeout_ms, io_timeout_ms);
+    if (fd < 0) break;
+    // Published under the lock stop() shuts it down under: either stop()
+    // sees this connection, or this thread sees it stopping.
+    std::unique_lock lock(conn_mutex_);
+    conn_fd_ = fd;
+    lock.unlock();
+    if (running()) serve_(fd);
+    lock.lock();
+    conn_fd_ = -1;
+    lock.unlock();
+    ::close(fd);
+  }
 }
 
 }  // namespace appclass::common::net

@@ -6,7 +6,7 @@
 #include "common/assert.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/trace.hpp"
 
 namespace appclass::core {
 namespace {
@@ -79,7 +79,7 @@ std::optional<ApplicationClass> OnlineClassifier::observe(
     return std::nullopt;
   }
 
-  obs::ScopedTimer observe_timer(om.observe_seconds);
+  obs::TraceSpan observe_span("online_observe", &om.observe_seconds);
   if (health_ != nullptr) {
     // Detailed path: same label arithmetic, plus the health evidence.
     const SnapshotClassification detail = pipeline_.classify_detailed(snapshot);

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <span>
 
 #include "common/assert.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "obs/trace.hpp"
 
 namespace appclass::core {
@@ -35,6 +35,55 @@ struct PipelineMetrics {
 PipelineMetrics& pipeline_metrics() {
   static PipelineMetrics metrics;
   return metrics;
+}
+
+/// The pca_project stage: projects `normalized` one engine shard at a
+/// time, each shard under its own engine_shard span.
+linalg::Matrix project_sharded(const engine::ExecutionContext& context,
+                               const Pca& pca,
+                               const linalg::Matrix& normalized) {
+  PipelineMetrics& pm = pipeline_metrics();
+  obs::TraceSpan stage_span("pca_project", &pm.pca_project);
+  linalg::Matrix projected(normalized.rows(), pca.components());
+  context.for_shards(
+      normalized.rows(), engine::kDefaultGrain,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        obs::TraceSpan shard_span("engine_shard", &pm.shard);
+        if (shard_span.recording()) {
+          shard_span.add_attr({"stage", "pca_project"});
+          shard_span.add_attr({"begin", begin});
+          shard_span.add_attr({"end", end});
+        }
+        pca.transform_rows(normalized, begin, end, projected);
+      });
+  return projected;
+}
+
+/// The vote evidence both detailed paths report for one snapshot's k
+/// nearest hits: label, winning share, margin and novelty distance.
+void set_vote_evidence(const engine::BlockedKnnIndex& index,
+                       std::span<const engine::BlockedKnnIndex::Hit> hits,
+                       const engine::BlockedKnnIndex::Vote& vote,
+                       SnapshotClassification& out) {
+  out.label = vote.label;
+  out.confidence = vote.share;
+
+  // Margin: winner minus runner-up vote count over k. Unanimous = 1.
+  std::array<int, kClassCount> votes{};
+  for (const auto& hit : hits) ++votes[index_of(index.labels()[hit.index])];
+  const int winner = votes[index_of(vote.label)];
+  int runner_up = 0;
+  for (std::size_t c = 0; c < kClassCount; ++c) {
+    if (c == index_of(vote.label)) continue;
+    runner_up = std::max(runner_up, votes[c]);
+  }
+  out.vote_margin = static_cast<double>(winner - runner_up) /
+                    static_cast<double>(hits.size());
+
+  // Hits are ascending by distance; squared L2 under Euclidean.
+  out.novelty = index.metric() == engine::DistanceMetric::kEuclidean
+                    ? std::sqrt(hits.front().distance)
+                    : hits.front().distance;
 }
 
 }  // namespace
@@ -129,7 +178,6 @@ void ClassificationPipeline::train(const std::vector<LabeledPool>& training) {
   std::vector<ApplicationClass> labels;
   {
     obs::TraceSpan stage_span("preprocess", &pm.preprocess);
-    obs::ScopedTimer preprocess_timer(pm.preprocess);
     std::vector<linalg::Matrix> raws(training.size());
     context_->for_each(training.size(), [&](std::size_t p) {
       APPCLASS_EXPECTS(!training[p].pool.empty());
@@ -145,36 +193,14 @@ void ClassificationPipeline::train(const std::vector<LabeledPool>& training) {
 
     preprocessor_.fit(stacked);
     normalized = preprocessor_.transform(stacked);
-    preprocess_timer.stop();
   }
 
   {
     obs::TraceSpan stage_span("pca_fit", &pm.pca_fit);
-    obs::ScopedTimer fit_timer(pm.pca_fit);
     pca_.fit(normalized);
-    fit_timer.stop();
   }
 
-  linalg::Matrix projected(normalized.rows(), pca_.components());
-  {
-    obs::TraceSpan stage_span("pca_project", &pm.pca_project);
-    obs::ScopedTimer project_timer(pm.pca_project);
-    context_->for_shards(
-        normalized.rows(), engine::kDefaultGrain,
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          obs::TraceSpan shard_span("engine_shard", &pm.shard);
-          if (shard_span.recording()) {
-            shard_span.add_attr({"stage", "pca_project"});
-            shard_span.add_attr({"begin", begin});
-            shard_span.add_attr({"end", end});
-          }
-          obs::ScopedTimer shard_timer(pm.shard);
-          pca_.transform_rows(normalized, begin, end, projected);
-        });
-    project_timer.stop();
-  }
-
-  knn_.train(std::move(projected), std::move(labels));
+  knn_.train(project_sharded(*context_, pca_, normalized), std::move(labels));
   trained_ = true;
   pm.trains.inc();
   APPCLASS_LOG_INFO("pipeline.train",
@@ -223,31 +249,12 @@ ClassificationResult ClassificationPipeline::classify(
   linalg::Matrix normalized;
   {
     obs::TraceSpan stage_span("preprocess", &pm.preprocess);
-    obs::ScopedTimer preprocess_timer(pm.preprocess);
     normalized = preprocessor_.transform(pool);
-    preprocess_timer.stop();
   }
 
   const std::size_t m = normalized.rows();
 
-  {
-    obs::TraceSpan stage_span("pca_project", &pm.pca_project);
-    obs::ScopedTimer project_timer(pm.pca_project);
-    result.projected = linalg::Matrix(m, pca_.components());
-    context_->for_shards(
-        m, engine::kDefaultGrain,
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          obs::TraceSpan shard_span("engine_shard", &pm.shard);
-          if (shard_span.recording()) {
-            shard_span.add_attr({"stage", "pca_project"});
-            shard_span.add_attr({"begin", begin});
-            shard_span.add_attr({"end", end});
-          }
-          obs::ScopedTimer shard_timer(pm.shard);
-          pca_.transform_rows(normalized, begin, end, result.projected);
-        });
-    project_timer.stop();
-  }
+  result.projected = project_sharded(*context_, pca_, normalized);
 
   // Sharded k-NN: every shard answers its rows into pre-sized slots with
   // its own kernel scratch; one clock pair for the whole fan-out, the
@@ -263,12 +270,10 @@ ClassificationResult ClassificationPipeline::classify(
       stage_span.add_attr({"k", knn_.k()});
       stage_span.add_attr({"training_size", knn_.training_size()});
     }
-    obs::ScopedTimer knn_timer(pm.knn_query);
     context_->for_shards(
         m, engine::kDefaultGrain,
         [&](std::size_t begin, std::size_t end, std::size_t) {
           obs::TraceSpan shard_span("engine_shard", &pm.shard);
-          obs::ScopedTimer shard_timer(pm.shard);
           // Pooled per-worker scratch: each shard leases the slot warmed
           // by previous shards on the same worker instead of sizing a
           // fresh one.
@@ -276,7 +281,7 @@ ClassificationResult ClassificationPipeline::classify(
           const std::uint64_t pruned_before = scratch->kernel.pruned_tiles;
           knn_.query_rows(result.projected, begin, end, query_options,
                           queries, scratch->kernel);
-          shard_timer.stop();
+          shard_span.stop();
           if (shard_span.recording()) {
             shard_span.add_attr({"stage", "knn_query"});
             shard_span.add_attr({"begin", begin});
@@ -286,18 +291,17 @@ ClassificationResult ClassificationPipeline::classify(
                  scratch->kernel.pruned_tiles - pruned_before});
           }
         });
-    knn_timer.stop_and_observe_per_item(m);
+    stage_span.stop_per_item(m);
   }
 
   {
     obs::TraceSpan stage_span("vote", &pm.vote);
-    obs::ScopedTimer vote_timer(pm.vote);
     result.class_vector = std::move(queries.labels);
     result.confidences = std::move(queries.vote_shares);
     result.novelty = std::move(queries.novelty);
     result.composition = ClassComposition(result.class_vector);
     result.application_class = result.composition.dominant();
-    vote_timer.stop();
+    stage_span.stop();
     if (stage_span.recording()) {
       // Margin of the winning class over the runner-up in the class
       // composition — a 0-margin pool sat on a vote knife edge.
@@ -347,34 +351,14 @@ SnapshotClassification ClassificationPipeline::classify_detailed(
   // Identical arithmetic to classify(snapshot) — same transform chain,
   // same kernel, same vote — plus the evidence the vote already holds:
   // the hits carry the margin and novelty distance, the projection is
-  // the drift-detector feed. Keeping the two paths line-for-line in sync
-  // is what the bit-identity bench guard checks.
+  // the drift-detector feed.
   pipeline_metrics().snapshots.inc();
   SnapshotClassification out;
   out.projected = pca_.transform(preprocessor_.transform(snapshot));
   auto scratch = scratch_pool_->acquire();
   const engine::BlockedKnnIndex& index = knn_.index();
   const auto hits = index.top_k(out.projected, scratch->kernel);
-  const engine::BlockedKnnIndex::Vote vote = index.vote(hits);
-  out.label = vote.label;
-  out.confidence = vote.share;
-
-  // Margin: winner minus runner-up vote count over k. Unanimous = 1.
-  std::array<int, kClassCount> votes{};
-  for (const auto& hit : hits) ++votes[index_of(index.labels()[hit.index])];
-  const int winner = votes[index_of(vote.label)];
-  int runner_up = 0;
-  for (std::size_t c = 0; c < kClassCount; ++c) {
-    if (c == index_of(vote.label)) continue;
-    runner_up = std::max(runner_up, votes[c]);
-  }
-  out.vote_margin = static_cast<double>(winner - runner_up) /
-                    static_cast<double>(hits.size());
-
-  // Hits are ascending by distance; squared L2 under Euclidean.
-  out.novelty = index.metric() == engine::DistanceMetric::kEuclidean
-                    ? std::sqrt(hits.front().distance)
-                    : hits.front().distance;
+  set_vote_evidence(index, hits, index.vote(hits), out);
   return out;
 }
 
@@ -417,23 +401,7 @@ void ClassificationPipeline::classify_snapshot_into(
   if (!batch.detailed_) return;
 
   SnapshotClassification& detail = batch.details_[i];
-  detail.label = vote.label;
-  detail.confidence = vote.share;
-  // Margin: winner minus runner-up vote count over k — line-for-line
-  // classify_detailed().
-  std::array<int, kClassCount> votes{};
-  for (const auto& hit : hits) ++votes[index_of(index.labels()[hit.index])];
-  const int winner = votes[index_of(vote.label)];
-  int runner_up = 0;
-  for (std::size_t c = 0; c < kClassCount; ++c) {
-    if (c == index_of(vote.label)) continue;
-    runner_up = std::max(runner_up, votes[c]);
-  }
-  detail.vote_margin = static_cast<double>(winner - runner_up) /
-                       static_cast<double>(hits.size());
-  detail.novelty = index.metric() == engine::DistanceMetric::kEuclidean
-                       ? std::sqrt(hits.front().distance)
-                       : hits.front().distance;
+  set_vote_evidence(index, hits, vote, detail);
   detail.projected.resize(pca_.components());
   for (std::size_t j = 0; j < detail.projected.size(); ++j)
     detail.projected[j] = batch.queries_.at(i, j);

@@ -144,15 +144,4 @@ HttpResult http_get_ex(const std::string& host, std::uint16_t port,
   return result;
 }
 
-std::optional<std::string> http_get(const std::string& host,
-                                    std::uint16_t port,
-                                    const std::string& path,
-                                    int timeout_ms) {
-  HttpGetOptions options;
-  options.timeout_ms = timeout_ms;
-  HttpResult result = http_get_ex(host, port, path, options);
-  if (!result.ok()) return std::nullopt;
-  return std::move(result.body);
-}
-
 }  // namespace appclass::dist

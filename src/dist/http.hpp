@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace appclass::dist {
@@ -53,13 +52,5 @@ struct HttpResult {
 HttpResult http_get_ex(const std::string& host, std::uint16_t port,
                        const std::string& path,
                        const HttpGetOptions& options = {});
-
-/// Fetches http://host:port/path and returns the response body on a 200,
-/// nullopt on connect/timeout/protocol failure or any other status.
-/// Thin wrapper over http_get_ex for callers that don't need the cause.
-std::optional<std::string> http_get(const std::string& host,
-                                    std::uint16_t port,
-                                    const std::string& path,
-                                    int timeout_ms = 2000);
 
 }  // namespace appclass::dist

@@ -1,8 +1,5 @@
 #include "dist/ingest.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cerrno>
 
 #include "common/net.hpp"
@@ -13,9 +10,6 @@
 
 namespace appclass::dist {
 
-/// Socket receive timeout; a wedged peer cannot hold the thread forever,
-/// it just cycles back to accept().
-constexpr int kReadTimeoutMs = 2000;
 /// bind() retries with doubling backoff (restart-over-dying-socket).
 constexpr int kBindRetries = 4;
 
@@ -28,50 +22,26 @@ IngestListener::IngestListener(IngestListenerOptions options, Sink sink,
 IngestListener::~IngestListener() { stop(); }
 
 bool IngestListener::start() {
-  if (running_.load(std::memory_order_acquire)) return true;
+  if (acceptor_.running()) return true;
 
   // A supervised worker restarting after SIGKILL must reclaim its port.
-  listen_fd_ = common::net::listen_tcp(options_.bind_address, options_.port,
-                                       4, kBindRetries, port_);
-  if (listen_fd_ < 0) {
+  if (!acceptor_.start(options_.bind_address, options_.port, 4, kBindRetries,
+                       common::net::kServeTimeoutMs,
+                       [this](int fd) { handle_connection(fd); })) {
     APPCLASS_LOG_ERROR("dist.ingest_listen_failed", {"errno", errno},
                        {"address", options_.bind_address},
                        {"port", options_.port},
                        {"attempts", kBindRetries + 1});
     return false;
   }
-
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { accept_loop(); });
-  APPCLASS_LOG_INFO("dist.ingest_started", {"port", port_},
+  APPCLASS_LOG_INFO("dist.ingest_started", {"port", port()},
                     {"expected", expected()});
   return true;
 }
 
 void IngestListener::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) {
-    if (thread_.joinable()) thread_.join();
-    return;
-  }
-  // Kick the in-flight connection too, or the thread would linger until
-  // its read timeout expires.
-  const int conn = conn_fd_.exchange(-1, std::memory_order_acq_rel);
-  if (conn >= 0) ::shutdown(conn, SHUT_RDWR);
-  common::net::stop_listening(listen_fd_, thread_);
-  APPCLASS_LOG_INFO("dist.ingest_stopped", {"port", port_});
-}
-
-void IngestListener::accept_loop() {
-  while (running_.load(std::memory_order_acquire)) {
-    const int fd = common::net::accept_connection(
-        listen_fd_, kReadTimeoutMs, kReadTimeoutMs);
-    if (fd < 0) break;
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    conn_fd_.store(fd, std::memory_order_release);
-    handle_connection(fd);
-    const int prev = conn_fd_.exchange(-1, std::memory_order_acq_rel);
-    if (prev >= 0) ::close(prev);
-  }
+  if (acceptor_.stop())
+    APPCLASS_LOG_INFO("dist.ingest_stopped", {"port", port()});
 }
 
 void IngestListener::handle_connection(int fd) {
@@ -83,6 +53,7 @@ void IngestListener::handle_connection(int fd) {
   auto& e2e_ingest_hist =
       registry.histogram("appclass_e2e_ingest_seconds");
   registry.counter("appclass_dist_connections_total").inc();
+  connections_.fetch_add(1, std::memory_order_relaxed);
 
   {
     const auto hello = encode_hello({.wal_next = expected()});
@@ -91,7 +62,7 @@ void IngestListener::handle_connection(int fd) {
 
   FrameDecoder decoder;
   std::uint8_t buffer[8192];
-  while (running_.load(std::memory_order_acquire)) {
+  while (acceptor_.running()) {
     Frame frame;
     const DecodeStatus status = decoder.next(frame);
     if (status == DecodeStatus::kNeedMore) {

@@ -33,8 +33,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <thread>
 
+#include "common/net.hpp"
 #include "metrics/snapshot.hpp"
 
 namespace appclass::dist {
@@ -68,7 +68,7 @@ class IngestListener {
   void stop();
 
   /// The bound port (resolves port 0 requests); 0 before start().
-  std::uint16_t port() const noexcept { return port_; }
+  std::uint16_t port() const noexcept { return acceptor_.port(); }
 
   /// Next sequence number the listener will accept (== frames durably
   /// ingested when started at 0).
@@ -87,20 +87,15 @@ class IngestListener {
   }
 
  private:
-  void accept_loop();
   void handle_connection(int fd);
 
   IngestListenerOptions options_;
   Sink sink_;
   std::atomic<std::uint64_t> expected_;
-  int listen_fd_ = -1;
-  std::atomic<int> conn_fd_{-1};
-  std::uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> duplicates_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> connections_{0};
-  std::thread thread_;
+  common::net::Acceptor acceptor_;
 };
 
 }  // namespace appclass::dist

@@ -706,9 +706,10 @@ int ServeApp::run_coordinator() {
       -> std::optional<std::vector<std::string>> {
     std::vector<std::string> bodies;
     for (const WorkerEndpoint& worker : config.workers) {
-      auto body = dist::http_get(worker.host, worker.scrape_port, path);
-      if (!body) return std::nullopt;
-      bodies.push_back(std::move(*body));
+      dist::HttpResult r =
+          dist::http_get_ex(worker.host, worker.scrape_port, path);
+      if (!r.ok()) return std::nullopt;
+      bodies.push_back(std::move(r.body));
     }
     return bodies;
   };

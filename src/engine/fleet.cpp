@@ -6,7 +6,6 @@
 #include "common/assert.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "obs/trace.hpp"
 
 namespace appclass::engine {
@@ -186,9 +185,8 @@ std::size_t FleetStream::drain() {
   if (n == 0) return 0;
   fm.drain_batch.observe(static_cast<double>(n));
 
-  obs::TraceSpan span("fleet_drain");
+  obs::TraceSpan span("fleet_drain", &fm.drain_seconds);
   if (span.recording()) span.add_attr({"snapshots", n});
-  obs::ScopedTimer drain_timer(fm.drain_seconds);
 
   // Parallel classification through the pipeline's batched SoA path
   // (each shard leases its own query scratch and writes disjoint batch
@@ -236,7 +234,7 @@ std::size_t FleetStream::drain() {
     break;
   }
 
-  const double seconds = drain_timer.stop();
+  const double seconds = span.stop();
   if (seconds > 0.0) fm.drain_rate.set(static_cast<double>(n) / seconds);
   fm.drained.inc(n);
   APPCLASS_LOG_DEBUG("fleet.drain", {"snapshots", n}, {"seconds", seconds},

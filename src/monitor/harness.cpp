@@ -3,7 +3,7 @@
 #include "common/assert.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/trace.hpp"
 
 namespace appclass::monitor {
 namespace {
@@ -48,7 +48,7 @@ ProfiledRun profile_instance(sim::Engine& engine, ClusterMonitor& mon,
   const std::string target_ip = engine.vm(before.vm).spec().ip;
 
   HarnessMetrics& hm = harness_metrics();
-  obs::ScopedTimer profile_timer(hm.profile_seconds);
+  obs::TraceSpan profile_span("monitor_profile", &hm.profile_seconds);
   PerformanceProfiler profiler(mon.bus(), sampling_interval_s);
   profiler.start();
 

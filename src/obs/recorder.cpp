@@ -42,9 +42,9 @@ void append_hex(std::string& out, std::uint64_t v) {
 
 }  // namespace
 
-std::int64_t trace_now_us() noexcept {
+std::int64_t trace_us(Clock::time_point t) noexcept {
   return std::chrono::duration_cast<std::chrono::microseconds>(
-             Clock::now() - recorder_epoch().steady)
+             t - recorder_epoch().steady)
       .count();
 }
 
@@ -142,7 +142,7 @@ void TraceRecorder::record_instant(std::string_view name,
   event.phase = TraceEvent::Phase::kInstant;
   event.name = name;
   event.context = context;
-  event.ts_us = trace_now_us();
+  event.ts_us = trace_us(Clock::now());
   event.attrs = std::move(attrs);
   ThreadRing& ring = ring_for_this_thread();
   event.tid = ring.tid;

@@ -11,6 +11,7 @@
 // workers, drained servers) survive until the next clear().
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -23,9 +24,9 @@
 
 namespace appclass::obs {
 
-/// Microseconds since the process-wide recorder epoch (first use).
+/// Microseconds from the process-wide recorder epoch (first use) to `t`.
 /// Monotonic; the timestamp base of every recorded event.
-std::int64_t trace_now_us() noexcept;
+std::int64_t trace_us(std::chrono::steady_clock::time_point t) noexcept;
 
 /// Wall-clock microseconds (Unix epoch) captured at the same instant as
 /// the recorder epoch. Dumped as `epochWallUs` so a fleet stitcher can

@@ -1,7 +1,5 @@
 #include "obs/scrape.hpp"
 
-#include <unistd.h>
-
 #include <cerrno>
 #include <chrono>
 
@@ -107,104 +105,87 @@ ScrapeServer::~ScrapeServer() { stop(); }
 bool ScrapeServer::start() {
   if (running()) return true;
 
-  listen_fd_ = common::net::listen_tcp(options_.bind_address, options_.port,
-                                       16, options_.bind_retries, port_);
-  if (listen_fd_ < 0) {
+  if (!acceptor_.start(options_.bind_address, options_.port, 16,
+                       options_.bind_retries, common::net::kServeTimeoutMs,
+                       [this](int fd) { serve(fd); })) {
     APPCLASS_LOG_ERROR("scrape.listen_failed", {"errno", errno},
                        {"address", options_.bind_address},
                        {"port", options_.port},
                        {"attempts", options_.bind_retries + 1});
     return false;
   }
-
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { serve_loop(); });
   APPCLASS_LOG_INFO("scrape.started", {"address", options_.bind_address},
-                    {"port", port_});
+                    {"port", port()});
   return true;
 }
 
 void ScrapeServer::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) {
-    if (thread_.joinable()) thread_.join();
-    return;
-  }
-  common::net::stop_listening(listen_fd_, thread_);
-  APPCLASS_LOG_INFO("scrape.stopped", {"port", port_});
+  if (acceptor_.stop()) APPCLASS_LOG_INFO("scrape.stopped", {"port", port()});
 }
 
-void ScrapeServer::serve_loop() {
+void ScrapeServer::serve(int fd) {
   auto& registry = MetricsRegistry::global();
+  const std::string raw = read_request(fd, options_.max_request_bytes);
+  // The cap was hit without a complete header block: refuse rather
+  // than buffer an unbounded header stream.
+  if (raw.size() >= options_.max_request_bytes &&
+      raw.find("\r\n\r\n") == std::string::npos) {
+    send_response(fd, "431 Request Header Fields Too Large", "text/plain",
+                  "request too large\n");
+    return;
+  }
+  const RequestLine request = parse_request_line(raw);
+  route_counter(request.path).inc();
 
-  while (running()) {
-    const int fd = common::net::accept_connection(
-        listen_fd_, options_.read_timeout_ms, options_.write_timeout_ms);
-    if (fd < 0) break;
-
-    const std::string raw = read_request(fd, options_.max_request_bytes);
-    // The cap was hit without a complete header block: refuse rather
-    // than buffer an unbounded header stream.
-    if (raw.size() >= options_.max_request_bytes &&
-        raw.find("\r\n\r\n") == std::string::npos) {
-      send_response(fd, "431 Request Header Fields Too Large", "text/plain",
-                    "request too large\n");
-      ::close(fd);
-      continue;
-    }
-    const RequestLine request = parse_request_line(raw);
-    route_counter(request.path).inc();
-
-    if (request.method != "GET") {
-      send_response(fd, "405 Method Not Allowed", "text/plain",
-                    "method not allowed\n");
-    } else if (request.path == "/metrics") {
-      send_response(fd, "200 OK",
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    to_prometheus(registry.snapshot()));
-    } else if (request.path == "/healthz") {
-      if (!health_check_) {
-        send_response(fd, "200 OK", "text/plain", "ok\n");
-      } else {
-        const HealthVerdict verdict = health_check_();
-        const std::string_view body =
-            !verdict.body.empty()
-                ? std::string_view(verdict.body)
-                : verdict.healthy
-                      ? std::string_view("{\"status\":\"ok\"}")
-                      : std::string_view("{\"status\":\"degraded\"}");
-        send_response(fd,
-                      verdict.healthy ? "200 OK" : "503 Service Unavailable",
-                      "application/json", body);
-      }
-    } else if (request.path == "/traces/recent") {
-      // Dumping serializes every thread ring; bound both the response
-      // size and the dump rate so the trace route cannot be used (or
-      // misused) to stall recording threads or flood the wire.
-      const std::int64_t now_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count();
-      const std::int64_t last =
-          last_trace_dump_ms_.load(std::memory_order_relaxed);
-      if (options_.trace_dump_min_interval_ms > 0 && last >= 0 &&
-          now_ms - last < options_.trace_dump_min_interval_ms) {
-        registry.counter("appclass_scrape_trace_throttled_total").inc();
-        send_response(fd, "429 Too Many Requests", "text/plain",
-                      "trace dump rate limited\n");
-      } else {
-        last_trace_dump_ms_.store(now_ms, std::memory_order_relaxed);
-        send_response(fd, "200 OK", "application/json",
-                      TraceRecorder::global().to_chrome_json(
-                          options_.max_trace_response_bytes));
-      }
-    } else if (const auto it = routes_.find(request.path);
-               it != routes_.end()) {
-      send_response(fd, "200 OK", it->second.content_type,
-                    it->second.handler());
+  if (request.method != "GET") {
+    send_response(fd, "405 Method Not Allowed", "text/plain",
+                  "method not allowed\n");
+  } else if (request.path == "/metrics") {
+    send_response(fd, "200 OK",
+                  "text/plain; version=0.0.4; charset=utf-8",
+                  to_prometheus(registry.snapshot()));
+  } else if (request.path == "/healthz") {
+    if (!health_check_) {
+      send_response(fd, "200 OK", "text/plain", "ok\n");
     } else {
-      send_response(fd, "404 Not Found", "text/plain", "not found\n");
+      const HealthVerdict verdict = health_check_();
+      const std::string_view body =
+          !verdict.body.empty()
+              ? std::string_view(verdict.body)
+              : verdict.healthy
+                    ? std::string_view("{\"status\":\"ok\"}")
+                    : std::string_view("{\"status\":\"degraded\"}");
+      send_response(fd,
+                    verdict.healthy ? "200 OK" : "503 Service Unavailable",
+                    "application/json", body);
     }
-    ::close(fd);
+  } else if (request.path == "/traces/recent") {
+    // Dumping serializes every thread ring; bound both the response
+    // size and the dump rate so the trace route cannot be used (or
+    // misused) to stall recording threads or flood the wire.
+    const std::int64_t now_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count();
+    const std::int64_t last =
+        last_trace_dump_ms_.load(std::memory_order_relaxed);
+    if (options_.trace_dump_min_interval_ms > 0 && last >= 0 &&
+        now_ms - last < options_.trace_dump_min_interval_ms) {
+      registry.counter("appclass_scrape_trace_throttled_total").inc();
+      send_response(fd, "429 Too Many Requests", "text/plain",
+                    "trace dump rate limited\n");
+    } else {
+      last_trace_dump_ms_.store(now_ms, std::memory_order_relaxed);
+      send_response(fd, "200 OK", "application/json",
+                    TraceRecorder::global().to_chrome_json(
+                        options_.max_trace_response_bytes));
+    }
+  } else if (const auto it = routes_.find(request.path);
+             it != routes_.end()) {
+    send_response(fd, "200 OK", it->second.content_type,
+                  it->second.handler());
+  } else {
+    send_response(fd, "404 Not Found", "text/plain", "not found\n");
   }
 }
 

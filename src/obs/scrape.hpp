@@ -29,8 +29,8 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <thread>
 
+#include "common/net.hpp"
 #include "obs/cardinality.hpp"
 #include "obs/metrics.hpp"
 
@@ -40,10 +40,6 @@ struct ScrapeServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back with port() after start().
   std::uint16_t port = 0;
-  /// Per-connection socket timeouts: a client that stops reading or
-  /// writing cannot wedge the accept thread past these.
-  int read_timeout_ms = 2000;
-  int write_timeout_ms = 2000;
   /// Requests larger than this (without a complete header block) are
   /// answered 431 and closed instead of buffered without bound.
   std::size_t max_request_bytes = 8 * 1024;
@@ -95,16 +91,14 @@ class ScrapeServer {
   /// ERROR log) when the socket cannot be bound.
   bool start();
 
-  /// Stops accepting, closes the listen socket, and joins the accept
-  /// thread. Idempotent; also run by the destructor.
+  /// Cuts off the request in flight, stops accepting, and joins the
+  /// accept thread. Idempotent; also run by the destructor.
   void stop();
 
-  bool running() const noexcept {
-    return running_.load(std::memory_order_acquire);
-  }
+  bool running() const noexcept { return acceptor_.running(); }
 
   /// The bound port (resolves port 0 requests); 0 before start().
-  std::uint16_t port() const noexcept { return port_; }
+  std::uint16_t port() const noexcept { return acceptor_.port(); }
 
  private:
   struct Route {
@@ -112,7 +106,7 @@ class ScrapeServer {
     std::function<std::string()> handler;
   };
 
-  void serve_loop();
+  void serve(int fd);
   Counter& route_counter(const std::string& path);
 
   /// Monotonic ms of the last served /traces/recent dump (accept-thread
@@ -125,10 +119,7 @@ class ScrapeServer {
   /// Bounded request-counter labels: built-ins + registered routes keep
   /// their own series, arbitrary request targets collapse to "other".
   BoundedLabelSet path_labels_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread thread_;
+  common::net::Acceptor acceptor_;
 };
 
 }  // namespace appclass::obs

@@ -22,11 +22,18 @@ std::uint64_t next_id() noexcept {
 
 }  // namespace
 
+Histogram& stage_histogram(std::string_view stage) {
+  return MetricsRegistry::global().histogram(
+      "appclass_stage_seconds", {{"stage", std::string(stage)}});
+}
+
 bool tracing_enabled() noexcept {
   return g_enabled.load(std::memory_order_relaxed);
 }
 
 void set_tracing_enabled(bool on) noexcept {
+  // Anchor the recorder epoch first: no recorded span starts before it.
+  if (on) (void)trace_us(TraceSpan::Clock::now());
   g_enabled.store(on, std::memory_order_relaxed);
 }
 
@@ -52,29 +59,42 @@ SpanAttr::SpanAttr(std::string_view k, double v) : key(k) {
   value = buffer;
 }
 
-TraceSpan::TraceSpan(std::string_view name, Histogram* exemplar_histogram) {
-  if (!tracing_enabled()) return;
-  recording_ = true;
-  name_ = name;
-  exemplar_histogram_ = exemplar_histogram;
-  saved_ = t_current;
-  context_.trace_id = saved_.active() ? saved_.trace_id : next_id();
-  context_.parent_span_id = saved_.active() ? saved_.span_id : 0;
-  context_.span_id = next_id();
-  t_current = context_;
-  start_us_ = trace_now_us();
+TraceSpan::TraceSpan(std::string_view name, Histogram* histogram)
+    : histogram_(histogram) {
+  if (tracing_enabled()) {
+    recording_ = true;
+    name_ = name;
+    saved_ = t_current;
+    context_.trace_id = saved_.active() ? saved_.trace_id : next_id();
+    context_.parent_span_id = saved_.active() ? saved_.span_id : 0;
+    context_.span_id = next_id();
+    t_current = context_;
+  }
+  timing_ = recording_ || histogram_ != nullptr;
+  if (timing_) start_ = Clock::now();
 }
 
 TraceSpan::~TraceSpan() {
+  finish(1);
   if (!recording_) return;
-  const std::int64_t end_us = trace_now_us();
   t_current = saved_;
-  if (exemplar_histogram_)
-    exemplar_histogram_->set_exemplar(
-        static_cast<double>(end_us - start_us_) * 1e-6, context_.trace_id);
-  TraceRecorder::global().record_span(name_, context_, start_us_,
-                                      end_us - start_us_,
+  const std::int64_t start_us = trace_us(start_);
+  TraceRecorder::global().record_span(name_, context_, start_us,
+                                      trace_us(end_) - start_us,
                                       std::move(attrs_));
+}
+
+double TraceSpan::finish(std::uint64_t items) noexcept {
+  if (!timing_) return 0.0;
+  timing_ = false;
+  end_ = Clock::now();
+  const double seconds = std::chrono::duration<double>(end_ - start_).count();
+  if (histogram_ && items > 0) {
+    const double value = seconds / static_cast<double>(items);
+    histogram_->observe_many(value, items);
+    if (recording_) histogram_->set_exemplar(value, context_.trace_id);
+  }
+  return seconds;
 }
 
 void TraceSpan::add_attr(SpanAttr attr) {

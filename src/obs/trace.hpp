@@ -1,4 +1,4 @@
-// Dapper-style trace-context propagation for the classification stack.
+// Dapper-style trace-context propagation and the one RAII stage timer.
 //
 // A *trace* is one causally-linked tree of spans — e.g. one classified
 // snapshot pool: a `classify` root with preprocess/pca_project/knn_query/
@@ -9,14 +9,15 @@
 // (`ScopedTraceContext`), which the engine ThreadPool does for every
 // parallel_for task.
 //
-// Cost contract: tracing is off by default and every TraceSpan
-// constructor guards on one relaxed atomic load — the k-NN hot path pays
-// a predictable branch and nothing else. When tracing is on, finished
-// spans are recorded into the per-thread flight-recorder ring
-// (obs/recorder.hpp) and the bound histogram (if any) gains an exemplar
-// referencing the trace id.
+// A TraceSpan bound to a stage histogram is also that stage's timer: one
+// clock pair feeds the histogram, the recorded span and the exemplar.
+// Cost contract: tracing is off by default. Off and unbound, a span is
+// one relaxed atomic load and no clock read; off and bound, one clock
+// pair plus the observation; on, one clock pair, a flight-recorder entry
+// (obs/recorder.hpp) and an exemplar referencing the trace id.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -35,6 +36,10 @@ struct TraceContext {
 
   bool active() const noexcept { return trace_id != 0; }
 };
+
+/// The one histogram family every pipeline stage reports to:
+/// `appclass_stage_seconds{stage=<name>}` on the global registry.
+Histogram& stage_histogram(std::string_view stage);
 
 /// Process-wide tracing switch (relaxed atomic; default off).
 bool tracing_enabled() noexcept;
@@ -79,17 +84,18 @@ struct SpanAttr {
   SpanAttr(std::string_view k, T v) : key(k), value(std::to_string(v)) {}
 };
 
-/// RAII span: opens as a child of the thread's ambient context (or as a
-/// new trace root when none is active), becomes the ambient context for
-/// its scope, and on destruction records itself into the flight recorder.
-/// A no-op (one relaxed load) when tracing is disabled.
+/// RAII span: under tracing it opens as a child of the thread's ambient
+/// context (or as a new trace root), stays the ambient context until
+/// scope exit, even after stop(), and is then recorded into the flight
+/// recorder. Its timing ends at stop(), stop_per_item(n) or scope exit,
+/// whichever comes first.
 class TraceSpan {
  public:
-  /// `exemplar_histogram`, when given, receives (elapsed seconds,
-  /// trace_id) as its exemplar on span end — tying the stage histogram
-  /// back to a concrete trace.
-  explicit TraceSpan(std::string_view name,
-                     Histogram* exemplar_histogram = nullptr);
+  using Clock = std::chrono::steady_clock;
+
+  /// `histogram`, when given, observes the elapsed seconds once, and
+  /// under tracing takes (that value, trace_id) as its exemplar.
+  explicit TraceSpan(std::string_view name, Histogram* histogram = nullptr);
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
@@ -104,13 +110,26 @@ class TraceSpan {
 
   const TraceContext& context() const noexcept { return context_; }
 
+  /// Ends the timing, observes the elapsed seconds and returns them (0
+  /// when the span times nothing or was already stopped).
+  double stop() noexcept { return finish(1); }
+
+  /// Ends the timing and observes (elapsed / items) `items` times: the
+  /// batched-loop form. No observation when items == 0.
+  void stop_per_item(std::uint64_t items) noexcept { finish(items); }
+
  private:
+  double finish(std::uint64_t items) noexcept;
+
   bool recording_ = false;
+  /// The clock was read at construction and the timing has not ended.
+  bool timing_ = false;
   TraceContext context_;
   TraceContext saved_;
   std::string name_;
-  Histogram* exemplar_histogram_ = nullptr;
-  std::int64_t start_us_ = 0;
+  Histogram* histogram_ = nullptr;
+  Clock::time_point start_;
+  Clock::time_point end_;
   std::vector<SpanAttr> attrs_;
 };
 

@@ -8,7 +8,6 @@
 #include "common/assert.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "sim/testbed.hpp"
 #include "workloads/catalog.hpp"
@@ -51,7 +50,6 @@ Placement greedy_place(const PlacementProblem& problem) {
   // One placement decision = one span (exemplar ties the stage histogram
   // back to this trace) with the problem shape and outcome attached.
   obs::TraceSpan span("greedy_place", &gm.place_seconds);
-  obs::ScopedTimer place_timer(gm.place_seconds);
   Placement placement(problem.vm_count);
 
   // Place the most numerous classes first: they are the hardest to spread.
@@ -88,7 +86,7 @@ Placement greedy_place(const PlacementProblem& problem) {
     placement[best_vm].push_back(j);
     ++vm_class[best_vm][cls];
   }
-  const double seconds = place_timer.stop();
+  const double seconds = span.stop();
   gm.placements.inc();
   gm.jobs_placed.inc(problem.jobs.size());
   if (span.recording()) {

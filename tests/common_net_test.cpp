@@ -1,7 +1,8 @@
 // Shared socket helpers: an interrupted receive keeps reading (sockets
 // with SO_RCVTIMEO are never restarted by the kernel, so EINTR reaches
 // the caller), accepted connections carry TCP_NODELAY and the requested
-// timeouts, and an unparsable listen address fails cleanly.
+// timeouts, stopping the acceptor unblocks its accept() and closes the
+// listener, and an unparsable listen address fails cleanly.
 #include "common/net.hpp"
 
 #include <gtest/gtest.h>
@@ -127,20 +128,19 @@ TEST(CommonNet, AcceptedConnectionHasNoDelayAndTimeouts) {
 }
 
 TEST(CommonNet, StopListeningUnblocksAcceptThenCloses) {
-  std::uint16_t port = 0;
-  int listen_fd = listen_tcp("127.0.0.1", 0, 4, 0, port);
-  ASSERT_GE(listen_fd, 0);
-  int accepted = 0;
-  std::thread acceptor([&accepted, fd = listen_fd] {
-    accepted = accept_connection(fd, 100, 100);
-  });
+  Acceptor acceptor;
+  std::atomic<int> served{0};
+  ASSERT_TRUE(acceptor.start("127.0.0.1", 0, 4, 0, 100,
+                             [&served](int) { served.fetch_add(1); }));
+  const std::uint16_t port = acceptor.port();
+  ASSERT_NE(port, 0);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  stop_listening(listen_fd, acceptor);
-  EXPECT_FALSE(acceptor.joinable());
-  EXPECT_EQ(accepted, -1);
-  EXPECT_EQ(listen_fd, -1);
+  EXPECT_TRUE(acceptor.stop());
+  EXPECT_FALSE(acceptor.running());
+  EXPECT_EQ(served.load(), 0);
   EXPECT_EQ(connect_tcp("127.0.0.1", port, 1000, /*no_delay=*/false), -1);
+  EXPECT_FALSE(acceptor.stop());  // idempotent
 }
 
 TEST(CommonNet, UnparsableAddressFailsWithEinval) {

@@ -176,16 +176,16 @@ TEST(DistHttpTest, ErrorNamesAreStableForScrapeHealth) {
   EXPECT_STREQ(to_string(HttpError::kStatus), "status");
 }
 
-TEST(DistHttpTest, ThinWrapperReturnsBodyOnlyOn200) {
+TEST(DistHttpTest, OkCarriesBodyOnlyOn200) {
   {
     CannedServer server("HTTP/1.1 200 OK\r\n\r\npayload");
-    const auto body = http_get("127.0.0.1", server.port(), "/x");
-    ASSERT_TRUE(body.has_value());
-    EXPECT_EQ(*body, "payload");
+    const HttpResult result = http_get_ex("127.0.0.1", server.port(), "/x");
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.body, "payload");
   }
   {
     CannedServer server("HTTP/1.1 500 Oops\r\n\r\nboom");
-    EXPECT_FALSE(http_get("127.0.0.1", server.port(), "/x").has_value());
+    EXPECT_FALSE(http_get_ex("127.0.0.1", server.port(), "/x").ok());
   }
 }
 

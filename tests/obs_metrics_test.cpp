@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "obs/export.hpp"
-#include "obs/span.hpp"
+#include "obs/trace.hpp"
 
 namespace appclass::obs {
 namespace {
@@ -131,22 +131,49 @@ TEST(Registry, ConcurrentIncrementsFromManyThreads) {
   EXPECT_DOUBLE_EQ(hist.sum(), static_cast<double>(kThreads) * kIters);
 }
 
-TEST(ScopedTimerTest, ObservesOnDestruction) {
-  Histogram h({1.0});
-  {
-    ScopedTimer timer(h);
+/// Runs `body` once with tracing off and once with it on; tracing is
+/// off again afterwards even when an assertion inside fails.
+template <typename Body>
+void with_tracing_off_and_on(Body body) {
+  struct Restore {
+    ~Restore() { set_tracing_enabled(false); }
+  } restore;
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "tracing on" : "tracing off");
+    set_tracing_enabled(traced);
+    body(traced);
   }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_GE(h.sum(), 0.0);
 }
 
-TEST(ScopedTimerTest, StopAndObservePerItem) {
-  Histogram h({1.0});
-  {
-    ScopedTimer timer(h);
-    timer.stop_and_observe_per_item(50);
-  }  // destructor must not double-record
-  EXPECT_EQ(h.count(), 50u);
+TEST(TraceSpanTimer, ObservesOnDestruction) {
+  with_tracing_off_and_on([](bool traced) {
+    Histogram h({1.0});
+    {
+      TraceSpan span("timer_test", &h);
+    }
+    EXPECT_EQ(h.count(), 1u);
+    EXPECT_GE(h.sum(), 0.0);
+    // Traced, the exemplar is the one value observed; untraced, none.
+    EXPECT_EQ(h.exemplar_trace_id() != 0, traced);
+    if (traced) {
+      EXPECT_EQ(h.exemplar_value(), h.sum());
+    }
+  });
+}
+
+TEST(TraceSpanTimer, StopAndObservePerItem) {
+  with_tracing_off_and_on([](bool traced) {
+    Histogram h({1.0});
+    {
+      TraceSpan span("timer_test", &h);
+      span.stop_per_item(50);
+    }  // destructor must not double-record
+    EXPECT_EQ(h.count(), 50u);
+    // The exemplar is the per-item mean, not the whole loop's time.
+    if (traced) {
+      EXPECT_EQ(h.exemplar_value() * 50.0, h.sum());
+    }
+  });
 }
 
 TEST(StageHistogram, RegistersOnGlobalRegistry) {

@@ -246,6 +246,31 @@ TEST(ObsScrapeLifecycle, StopIsIdempotentAndPortIsReusable) {
   second.stop();
 }
 
+TEST(ObsScrapeLifecycle, StopCutsOffAStalledRequest) {
+  obs::ScrapeServer server;
+  ASSERT_TRUE(server.start());
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  // Half a request: the server sits in its 2 s read timeout for the rest.
+  const std::string partial = "GET /metrics HTTP/1.1\r\n";
+  ASSERT_EQ(::send(fd, partial.data(), partial.size(), 0),
+            static_cast<ssize_t>(partial.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const auto begin = std::chrono::steady_clock::now();
+  server.stop();
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  EXPECT_FALSE(server.running());
+  EXPECT_LT(elapsed, std::chrono::milliseconds(500));
+  ::close(fd);
+}
+
 TEST(ObsScrapeHardening, OversizedRequestIsRefusedWith431) {
   obs::ScrapeServer server({.max_request_bytes = 512});
   ASSERT_TRUE(server.start());

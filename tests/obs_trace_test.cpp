@@ -144,6 +144,28 @@ TEST(ObsTrace, AmbientContextRestoredAfterSpan) {
   EXPECT_FALSE(obs::current_trace_context().active());
 }
 
+TEST(ObsTrace, StoppedSpanStaysAmbientAndKeepsLateAttributes) {
+  obs::TraceRecorder::global().clear();
+  obs::Histogram h({1.0});
+  {
+    ScopedTracing tracing;
+    obs::TraceSpan span("stopped", &h);
+    const double seconds = span.stop();
+    EXPECT_EQ(span.stop(), 0.0);  // the timing ended once
+    EXPECT_EQ(obs::current_trace_context().span_id, span.context().span_id);
+    span.add_attr({"late", "yes"});
+    EXPECT_EQ(h.count(), 1u);
+    EXPECT_EQ(h.sum(), seconds);
+  }
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_FALSE(obs::current_trace_context().active());
+  const auto events = obs::TraceRecorder::global().events();
+  const obs::TraceEvent* span = find_span(events, "stopped");
+  ASSERT_NE(span, nullptr);
+  ASSERT_EQ(span->attrs.size(), 1u);
+  EXPECT_EQ(span->attrs[0].key, "late");
+}
+
 TEST(ObsTrace, DisabledTracingRecordsNothing) {
   obs::set_tracing_enabled(false);
   obs::TraceRecorder::global().clear();
@@ -215,6 +237,30 @@ TEST(ObsTrace, StageHistogramGainsExemplarReferencingTrace) {
   EXPECT_NE(json.find("\"exemplar\""), std::string::npos);
   const std::string prom = obs::to_prometheus(snapshot);
   EXPECT_EQ(prom.find("exemplar"), std::string::npos);
+}
+
+TEST(ObsTrace, KnnQueryExemplarIsTheObservedPerSnapshotMean) {
+  core::ClassificationPipeline pipeline;
+  pipeline.train(core::testing::synthetic_training());
+  const metrics::DataPool pool =
+      core::testing::synthetic_pool(core::ApplicationClass::kCpu, 512, 7);
+
+  obs::MetricsRegistry::global().reset_values();
+  {
+    ScopedTracing tracing;
+    (void)pipeline.classify(pool);
+  }
+
+  // One clock pair feeds both: the exemplar is the mean per snapshot the
+  // histogram observed, not the whole fan-out's wall time.
+  const auto snapshot = obs::MetricsRegistry::global().snapshot();
+  const auto* hist = snapshot.find_histogram("appclass_stage_seconds",
+                                             {{"stage", "knn_query"}});
+  ASSERT_NE(hist, nullptr);
+  ASSERT_EQ(hist->count, 512u);
+  ASSERT_NE(hist->exemplar_trace_id, 0u);
+  const double mean = hist->sum / static_cast<double>(hist->count);
+  EXPECT_NEAR(hist->exemplar_value, mean, 1e-9 * mean);
 }
 
 TEST(ObsTrace, LogRecordsBecomeInstantEventsUnderActiveTrace) {
