@@ -96,14 +96,13 @@ int main(int argc, char** argv) {
     const auto labels = cluster_labels(n_train);
     const linalg::Matrix queries = cluster_points(n_query, 8);
     engine::BlockedKnnIndex index;
-    index.build(train, labels, 3, engine::DistanceMetric::kEuclidean);
+    index.build(train, labels, 3);
 
     std::size_t scalar_checksum = 0;
     Row scalar{"knn_scalar", 1, n_query, 0.0};
     scalar.seconds = time_run([&] {
       for (std::size_t r = 0; r < queries.rows(); ++r) {
-        const auto hits = engine::reference_top_k(
-            train, queries.row(r), 3, engine::DistanceMetric::kEuclidean);
+        const auto hits = engine::reference_top_k(train, queries.row(r), 3);
         scalar_checksum += index.vote(hits).label ==
                                    core::ApplicationClass::kIdle
                                ? 1u

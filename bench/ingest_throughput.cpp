@@ -334,7 +334,9 @@ class LegacyStream {
     // vector-returning transform chain, span-query kernel with
     // thread-local scratch — dispatched through for_each as the old
     // drain did. (Today's classify() is itself allocation-free, so
-    // calling it would not re-enact the old cost.)
+    // calling it would not re-enact the old cost.) The span query runs
+    // the kernel's one top-k scan, the same one the ring path runs, so
+    // the speedup measures only the ingest path around the kernel.
     pipeline_.context()->for_each(batch.size(), [&](std::size_t i) {
       snapshots_counter_.fetch_add(1, std::memory_order_relaxed);
       const std::vector<double> projected =

@@ -1,7 +1,6 @@
 #include "core/knn.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "common/assert.hpp"
 
@@ -18,7 +17,7 @@ void KnnClassifier::train(linalg::Matrix points,
   APPCLASS_EXPECTS(points.rows() >= options_.k);
   points_ = std::move(points);
   labels_ = std::move(labels);
-  index_.build(points_, labels_, options_.k, options_.metric);
+  index_.build(points_, labels_, options_.k);
 }
 
 std::size_t KnnClassifier::dimension() const {
@@ -41,22 +40,6 @@ QueryResult KnnClassifier::make_result(std::size_t count,
   return out;
 }
 
-namespace {
-
-/// The novelty score predates the Manhattan option and is defined as the
-/// *Euclidean* distance to the nearest training point regardless of the
-/// vote metric; under Euclidean it falls out of the kernel's hits[0] for
-/// free, under Manhattan it needs this scalar scan.
-double euclidean_novelty(const linalg::Matrix& points,
-                         std::span<const double> q) {
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < points.rows(); ++i)
-    best = std::min(best, linalg::squared_distance(points.row(i), q));
-  return std::sqrt(best);
-}
-
-}  // namespace
-
 void KnnClassifier::query_rows(
     const linalg::Matrix& points, std::size_t begin, std::size_t end,
     const QueryOptions& options, QueryResult& out,
@@ -65,10 +48,8 @@ void KnnClassifier::query_rows(
   APPCLASS_EXPECTS(points.cols() == points_.cols());
   APPCLASS_EXPECTS(begin <= end && end <= points.rows());
   APPCLASS_EXPECTS(end <= out.count);
-  const bool euclidean = options_.metric == DistanceMetric::kEuclidean;
   for (std::size_t r = begin; r < end; ++r) {
-    const auto q = points.row(r);
-    const auto hits = index_.top_k(q, scratch);
+    const auto hits = index_.top_k(points.row(r), scratch);
     const auto vote = index_.vote(hits);
     out.labels[r] = vote.label;
     if (options.vote_shares) out.vote_shares[r] = vote.share;
@@ -77,12 +58,9 @@ void KnnClassifier::query_rows(
         out.neighbor_indices[r * out.neighbors_per_query + j] =
             hits[j].index;
     }
-    if (options.novelty) {
-      // hits are ascending, so under Euclidean hits[0] already holds the
-      // global minimum squared distance — no second scan.
-      out.novelty[r] = euclidean ? std::sqrt(hits[0].distance)
-                                 : euclidean_novelty(points_, q);
-    }
+    // hits are ascending, so hits[0] already holds the global minimum
+    // squared distance — no second scan.
+    if (options.novelty) out.novelty[r] = std::sqrt(hits[0].distance);
   }
 }
 

@@ -1,17 +1,15 @@
 // k-Nearest-Neighbor classifier (paper section 4.2.3).
 //
-// Brute-force k-NN with majority vote over the k geometrically closest
-// training points; ties break toward the class of the nearer neighbors
-// (summed inverse ranks), matching the "odd k" convention the paper uses
-// to avoid most ties in the first place (k = 3).
+// Brute-force k-NN under Euclidean distance with majority vote over the
+// k closest training points; ties break toward the class of the nearer
+// neighbors (summed inverse ranks), matching the "odd k" convention the
+// paper uses to avoid most ties in the first place (k = 3).
 //
-// Since the engine PR the classifier is a thin policy layer over the
-// blocked structure-of-arrays kernel in engine/knn_kernel.hpp: training
-// builds the SoA index, and the single canonical entry point
-// `query(points, QueryOptions)` answers every question (labels, vote
-// shares, neighbor indices, novelty distances) in one pass. The legacy
-// per-question entry points (classify, classify_with_confidence, nearest,
-// nearest_distance) have been removed; query() is the only query surface.
+// The classifier is a thin policy layer over the blocked structure-of-
+// arrays kernel in engine/knn_kernel.hpp: training builds the SoA index,
+// and `query(points, QueryOptions)` answers every question (labels, vote
+// shares, neighbor indices, novelty distances) in one pass. query() is
+// the only query surface.
 #pragma once
 
 #include <cstddef>
@@ -24,13 +22,8 @@
 
 namespace appclass::core {
 
-/// The distance metric now lives with the kernel; the alias keeps every
-/// existing `core::DistanceMetric` spelling valid.
-using DistanceMetric = engine::DistanceMetric;
-
 struct KnnOptions {
   std::size_t k = 3;
-  DistanceMetric metric = DistanceMetric::kEuclidean;
 };
 
 /// What a query should materialize besides the labels. Each extra output
@@ -76,7 +69,6 @@ class KnnClassifier {
   std::size_t training_size() const noexcept { return labels_.size(); }
   std::size_t dimension() const;
   std::size_t k() const noexcept { return options_.k; }
-  const KnnOptions& options() const noexcept { return options_; }
 
   /// THE query entry point: answers every row of `points` in one pass,
   /// filling exactly the outputs `options` requests.

@@ -80,10 +80,8 @@ void set_vote_evidence(const engine::BlockedKnnIndex& index,
   out.vote_margin = static_cast<double>(winner - runner_up) /
                     static_cast<double>(hits.size());
 
-  // Hits are ascending by distance; squared L2 under Euclidean.
-  out.novelty = index.metric() == engine::DistanceMetric::kEuclidean
-                    ? std::sqrt(hits.front().distance)
-                    : hits.front().distance;
+  // Hits are ascending by squared Euclidean distance.
+  out.novelty = std::sqrt(hits.front().distance);
 }
 
 }  // namespace

@@ -56,10 +56,7 @@ std::string save_pipeline(const ClassificationPipeline& pipeline) {
     for (std::size_t c = 0; c < q; ++c) os << ' ' << pca.projection()(r, c);
     os << '\n';
   }
-  os << "knn " << knn.training_size() << ' ' << knn.k() << ' '
-     << (knn.options().metric == DistanceMetric::kManhattan ? "manhattan"
-                                                            : "euclidean")
-     << '\n';
+  os << "knn " << knn.training_size() << ' ' << knn.k() << " euclidean\n";
   for (std::size_t i = 0; i < knn.training_size(); ++i) {
     os << to_string(knn.training_labels()[i]);
     for (std::size_t c = 0; c < q; ++c)
@@ -129,15 +126,11 @@ ClassificationPipeline load_pipeline(const std::string& text) {
   in.expect_tag("knn");
   const std::size_t n = in.read_size();
   const std::size_t k = in.read_size();
+  // KnnClassifier asserts an odd k >= 1; a file must not reach it.
+  if (k % 2 == 0) in.fail("k must be odd, got " + std::to_string(k));
   std::string metric_name;
   if (!(is >> metric_name)) in.fail("missing distance metric");
-  KnnOptions knn_options;
-  knn_options.k = k;
-  if (metric_name == "manhattan")
-    knn_options.metric = DistanceMetric::kManhattan;
-  else if (metric_name == "euclidean")
-    knn_options.metric = DistanceMetric::kEuclidean;
-  else
+  if (metric_name != "euclidean")
     in.fail("unknown distance metric '" + metric_name + "'");
   if (n < k) in.fail("fewer training points than k");
 
@@ -162,7 +155,7 @@ ClassificationPipeline load_pipeline(const std::string& text) {
     in.fail("unknown section '" + trailing +
          "' (file written by a newer format version?)");
 
-  KnnClassifier knn(knn_options);
+  KnnClassifier knn(KnnOptions{.k = k});
   knn.train(std::move(points), std::move(labels));
   return ClassificationPipeline::restore(
       Preprocessor::restore(std::move(selected), std::move(stats)),

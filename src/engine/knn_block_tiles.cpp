@@ -6,8 +6,6 @@
 // by an ulp and break the kernel's bit-identity contract.
 #include "engine/knn_block_tiles.hpp"
 
-#include <cmath>
-
 namespace appclass::engine::blocktiles {
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
@@ -41,24 +39,6 @@ void sq_pair(const double* c0, const double* c1, double q0, double q1,
     const double d1 = c1[i] - q1;
     acc[i] = d0 * d0 + d1 * d1;
   }
-}
-
-APPCLASS_TILE_CLONES
-void l1_first(const double* col, double q, double* acc, std::size_t width) {
-  for (std::size_t i = 0; i < width; ++i) acc[i] = std::abs(col[i] - q);
-}
-
-APPCLASS_TILE_CLONES
-void l1_accumulate(const double* col, double q, double* acc,
-                   std::size_t width) {
-  for (std::size_t i = 0; i < width; ++i) acc[i] += std::abs(col[i] - q);
-}
-
-APPCLASS_TILE_CLONES
-void l1_pair(const double* c0, const double* c1, double q0, double q1,
-             double* acc, std::size_t width) {
-  for (std::size_t i = 0; i < width; ++i)
-    acc[i] = std::abs(c0[i] - q0) + std::abs(c1[i] - q1);
 }
 
 APPCLASS_TILE_CLONES

@@ -1,16 +1,16 @@
-// SIMD-friendly tile primitives for the batched (QueryBlock) k-NN scan.
+// SIMD-friendly tile primitives for the k-NN scan.
 //
-// These are the inner loops of BlockedKnnIndex::top_k_block, hoisted
-// into their own translation unit so they can be compiled with the
-// vectorizer fully enabled (and AVX2 function clones resolved at load
-// time) without touching the code generation of the reference span-query
-// path, which doubles as the kernel's ground truth.
+// These are the inner loops of BlockedKnnIndex::top_k_scan, hoisted into
+// their own translation unit so they can be compiled with the vectorizer
+// fully enabled (and AVX2 function clones resolved at load time) without
+// touching the code generation of the rest of the kernel.
 //
 // Numerical contract: every helper performs exactly the element-wise
-// IEEE operations of the scalar reference loops — subtract, multiply,
-// add (or abs/add), in ascending point order per feature — and the
-// clones are generated without FMA, so results are bit-identical to the
-// scalar path on every CPU the resolver can pick.
+// IEEE operations of the scalar loop in linalg::squared_distance —
+// subtract, multiply, add, in ascending point order per feature — and
+// the clones are generated without FMA, so results are bit-identical to
+// engine::reference_top_k, the kernel's ground truth, on every CPU the
+// resolver can pick.
 #pragma once
 
 #include <cstddef>
@@ -29,18 +29,9 @@ void sq_pair(const double* c0, const double* c1, double q0, double q1,
 /// acc[i] += (col[i] - q)^2 for i in [0, width).
 void sq_accumulate(const double* col, double q, double* acc,
                    std::size_t width);
-/// acc[i] = |col[i] - q| for i in [0, width) — first-feature store.
-void l1_first(const double* col, double q, double* acc, std::size_t width);
-/// acc[i] = |c0[i] - q0| + |c1[i] - q1| — fused two-feature Manhattan
-/// pass; same abs, abs, add sequence as the two-sweep form.
-void l1_pair(const double* c0, const double* c1, double q0, double q1,
-             double* acc, std::size_t width);
-/// acc[i] += |col[i] - q| for i in [0, width).
-void l1_accumulate(const double* col, double q, double* acc,
-                   std::size_t width);
 
 /// Candidates per chunk_mins() block — the granularity at which the
-/// batched selection loop can skip distances wholesale.
+/// scan's selection loop can skip distances wholesale.
 inline constexpr std::size_t kMinChunk = 8;
 
 /// mins[j] = min(acc[8j .. 8j+8)) for every complete 8-wide chunk

@@ -22,14 +22,13 @@ constexpr double kPruneSlack = 0.999999;
 
 void BlockedKnnIndex::build(const linalg::Matrix& points,
                             std::vector<core::ApplicationClass> labels,
-                            std::size_t k, DistanceMetric metric) {
+                            std::size_t k) {
   APPCLASS_EXPECTS(points.rows() == labels.size());
   APPCLASS_EXPECTS(points.rows() >= 1);
   APPCLASS_EXPECTS(points.cols() >= 1);
   const std::size_t n = points.rows();
   dims_ = points.cols();
   k_ = k;
-  metric_ = metric;
   labels_ = std::move(labels);
   padded_ = (n + kTile - 1) / kTile * kTile;
 
@@ -41,26 +40,15 @@ void BlockedKnnIndex::build(const linalg::Matrix& points,
       features_[j * padded_ + i] = row[j];
   }
 
-  // Per-point norms (ascending-feature accumulation, like the distances)
-  // and per-tile unsquared bounds for the prune test.
-  sq_norms_.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    const auto row = points.row(i);
-    if (metric_ == DistanceMetric::kManhattan) {
-      for (std::size_t j = 0; j < dims_; ++j) acc += std::abs(row[j]);
-    } else {
-      for (std::size_t j = 0; j < dims_; ++j) acc += row[j] * row[j];
-    }
-    sq_norms_[i] = acc;
-  }
+  // Per-tile L2 norm bounds for the prune test; each norm accumulates in
+  // ascending feature order, like the distances.
   const std::size_t tiles = padded_ / kTile;
   tile_min_norm_.assign(tiles, std::numeric_limits<double>::infinity());
   tile_max_norm_.assign(tiles, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    const double norm = metric_ == DistanceMetric::kManhattan
-                            ? sq_norms_[i]
-                            : std::sqrt(sq_norms_[i]);
+    double acc = 0.0;
+    for (const double v : points.row(i)) acc += v * v;
+    const double norm = std::sqrt(acc);
     const std::size_t t = i / kTile;
     tile_min_norm_[t] = std::min(tile_min_norm_[t], norm);
     tile_max_norm_[t] = std::max(tile_max_norm_[t], norm);
@@ -70,10 +58,6 @@ void BlockedKnnIndex::build(const linalg::Matrix& points,
 double BlockedKnnIndex::query_norm(const double* q,
                                    std::size_t qstride) const {
   double acc = 0.0;
-  if (metric_ == DistanceMetric::kManhattan) {
-    for (std::size_t j = 0; j < dims_; ++j) acc += std::abs(q[j * qstride]);
-    return acc;
-  }
   for (std::size_t j = 0; j < dims_; ++j) {
     const double v = q[j * qstride];
     acc += v * v;
@@ -82,9 +66,8 @@ double BlockedKnnIndex::query_norm(const double* q,
 }
 
 double BlockedKnnIndex::tile_lower_bound(std::size_t t, double qnorm) const {
-  // Reverse triangle inequality: d(q, x) >= |norm(q) - norm(x)| for any
-  // norm-induced metric. Zero (never prunes) when qnorm falls inside the
-  // tile's norm range.
+  // Reverse triangle inequality: |q - x| >= | |q| - |x| |. Zero (never
+  // prunes) when qnorm falls inside the tile's norm range.
   double delta = 0.0;
   if (qnorm < tile_min_norm_[t])
     delta = tile_min_norm_[t] - qnorm;
@@ -92,113 +75,18 @@ double BlockedKnnIndex::tile_lower_bound(std::size_t t, double qnorm) const {
     delta = qnorm - tile_max_norm_[t];
   else
     return 0.0;
-  const double bound =
-      metric_ == DistanceMetric::kManhattan ? delta : delta * delta;
-  return bound * kPruneSlack;
+  return delta * delta * kPruneSlack;
 }
 
 void BlockedKnnIndex::tile_distances(const double* q, std::size_t qstride,
                                      std::size_t t0, std::size_t width,
                                      std::vector<double>& acc) const {
-  // Vectorizes across the tile's points; each point's accumulator sees
-  // features in ascending order — the exact summation order of
-  // linalg::squared_distance / manhattan_distance. The query's stride
-  // only changes where feature j is loaded from, never the arithmetic.
-  std::fill(acc.begin(), acc.begin() + static_cast<std::ptrdiff_t>(width),
-            0.0);
+  // Vectorizes across the tile's points through the blocktiles
+  // primitives; each point's accumulator sees features in ascending
+  // order — the exact summation order of linalg::squared_distance. The
+  // query's stride only changes where feature j is loaded from, never
+  // the arithmetic.
   double* const a = acc.data();
-  if (metric_ == DistanceMetric::kManhattan) {
-    for (std::size_t j = 0; j < dims_; ++j) {
-      const double qj = q[j * qstride];
-      const double* const col = features_.data() + j * padded_ + t0;
-      for (std::size_t i = 0; i < width; ++i)
-        a[i] += std::abs(col[i] - qj);
-    }
-    return;
-  }
-  for (std::size_t j = 0; j < dims_; ++j) {
-    const double qj = q[j * qstride];
-    const double* const col = features_.data() + j * padded_ + t0;
-    for (std::size_t i = 0; i < width; ++i) {
-      const double d = col[i] - qj;
-      a[i] += d * d;
-    }
-  }
-}
-
-std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k(
-    std::span<const double> q, Scratch& scratch) const {
-  APPCLASS_EXPECTS(q.size() == dims_);
-  return top_k_strided(q.data(), 1, scratch);
-}
-
-std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k(
-    const QueryBlock& block, std::size_t i, Scratch& scratch) const {
-  APPCLASS_EXPECTS(block.dims() == dims_);
-  APPCLASS_EXPECTS(i < block.count());
-  return top_k_block(block.point(i), block.stride(), scratch);
-}
-
-std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k_strided(
-    const double* q, std::size_t qstride, Scratch& scratch) const {
-  APPCLASS_EXPECTS(built());
-  const std::size_t n = labels_.size();
-  const std::size_t k = std::min(k_, n);
-  scratch.acc.resize(kTile);
-  scratch.hits.resize(k);
-  Hit* const hits = scratch.hits.data();
-  std::size_t count = 0;
-  const double qnorm = query_norm(q, qstride);
-
-  for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
-    const std::size_t width = std::min(kTile, n - t0);
-    if (count == k &&
-        tile_lower_bound(t0 / kTile, qnorm) > hits[k - 1].distance) {
-      ++scratch.pruned_tiles;
-      continue;
-    }
-    tile_distances(q, qstride, t0, width, scratch.acc);
-    for (std::size_t i = 0; i < width; ++i) {
-      const double d = scratch.acc[i];
-      // Candidates arrive in ascending index, so a distance tie keeps
-      // the incumbent — the (distance, index) pair order of the seed's
-      // partial_sort.
-      if (count == k && d >= hits[k - 1].distance) continue;
-      std::size_t pos = count < k ? count : k - 1;
-      while (pos > 0 && d < hits[pos - 1].distance) {
-        hits[pos] = hits[pos - 1];
-        --pos;
-      }
-      hits[pos] =
-          Hit{d, static_cast<std::uint32_t>(t0 + i)};
-      if (count < k) ++count;
-    }
-  }
-  return {hits, count};
-}
-
-void BlockedKnnIndex::tile_distances_nofill(const double* q,
-                                            std::size_t qstride,
-                                            std::size_t t0, std::size_t width,
-                                            std::vector<double>& acc) const {
-  // Same per-point accumulation as tile_distances, but the first feature
-  // stores instead of adding into a zeroed array (every per-feature term
-  // is non-negative, so 0 + term == term bit for bit and the zeroing
-  // pass is pure overhead), and the per-feature sweeps run through the
-  // vectorized blocktiles primitives.
-  double* const a = acc.data();
-  if (metric_ == DistanceMetric::kManhattan) {
-    if (dims_ == 2) {
-      blocktiles::l1_pair(features_.data() + t0, features_.data() + padded_ + t0,
-                          q[0], q[qstride], a, width);
-      return;
-    }
-    blocktiles::l1_first(features_.data() + t0, q[0], a, width);
-    for (std::size_t j = 1; j < dims_; ++j)
-      blocktiles::l1_accumulate(features_.data() + j * padded_ + t0,
-                                q[j * qstride], a, width);
-    return;
-  }
   if (dims_ == 2) {
     blocktiles::sq_pair(features_.data() + t0, features_.data() + padded_ + t0,
                         q[0], q[qstride], a, width);
@@ -210,7 +98,20 @@ void BlockedKnnIndex::tile_distances_nofill(const double* q,
                               q[j * qstride], a, width);
 }
 
-std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k_block(
+std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k(
+    std::span<const double> q, Scratch& scratch) const {
+  APPCLASS_EXPECTS(q.size() == dims_);
+  return top_k_scan(q.data(), 1, scratch);
+}
+
+std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k(
+    const QueryBlock& block, std::size_t i, Scratch& scratch) const {
+  APPCLASS_EXPECTS(block.dims() == dims_);
+  APPCLASS_EXPECTS(i < block.count());
+  return top_k_scan(block.point(i), block.stride(), scratch);
+}
+
+std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k_scan(
     const double* q, std::size_t qstride, Scratch& scratch) const {
   APPCLASS_EXPECTS(built());
   const std::size_t n = labels_.size();
@@ -227,10 +128,9 @@ std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k_block(
   const double qnorm = n > kTile ? query_norm(q, qstride) : 0.0;
 
   // Lexicographic (distance, index) insertion, valid under ANY candidate
-  // processing order. The reference ascending scan keeps exactly the k
-  // lexicographically smallest (distance, index) pairs — its strict '<'
-  // on distance means a later tie never displaces an earlier index — so
-  // maintaining that set directly frees the loop below to visit chunks
+  // processing order. reference_top_k's partial_sort over (distance,
+  // index) pairs returns exactly the k lexicographically smallest pairs,
+  // so maintaining that set directly frees the loop below to visit chunks
   // out of order and still return bit-identical hits in the same order.
   const auto consider = [&](double d, std::size_t index) {
     const auto idx = static_cast<std::uint32_t>(index);
@@ -255,7 +155,7 @@ std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k_block(
       ++scratch.pruned_tiles;
       continue;
     }
-    tile_distances_nofill(q, qstride, t0, width, scratch.acc);
+    tile_distances(q, qstride, t0, width, scratch.acc);
     const double* const a = scratch.acc.data();
     const std::size_t blocks = width / kChunk;
     if (blocks > 0) {
@@ -289,27 +189,6 @@ std::span<const BlockedKnnIndex::Hit> BlockedKnnIndex::top_k_block(
   return {hits, count};
 }
 
-double BlockedKnnIndex::nearest_distance(std::span<const double> q,
-                                         Scratch& scratch) const {
-  APPCLASS_EXPECTS(built());
-  APPCLASS_EXPECTS(q.size() == dims_);
-  const std::size_t n = labels_.size();
-  scratch.acc.resize(kTile);
-  double best = std::numeric_limits<double>::infinity();
-  const double qnorm = query_norm(q.data(), 1);
-  for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
-    const std::size_t width = std::min(kTile, n - t0);
-    if (tile_lower_bound(t0 / kTile, qnorm) > best) {
-      ++scratch.pruned_tiles;
-      continue;
-    }
-    tile_distances(q.data(), 1, t0, width, scratch.acc);
-    for (std::size_t i = 0; i < width; ++i)
-      best = std::min(best, scratch.acc[i]);
-  }
-  return best;
-}
-
 BlockedKnnIndex::Vote BlockedKnnIndex::vote(std::span<const Hit> hits) const {
   APPCLASS_EXPECTS(!hits.empty());
   // Majority vote; ties resolved by summed inverse rank (nearer wins) —
@@ -333,17 +212,12 @@ BlockedKnnIndex::Vote BlockedKnnIndex::vote(std::span<const Hit> hits) const {
 }
 
 std::vector<BlockedKnnIndex::Hit> reference_top_k(
-    const linalg::Matrix& points, std::span<const double> q, std::size_t k,
-    DistanceMetric metric) {
+    const linalg::Matrix& points, std::span<const double> q, std::size_t k) {
   const std::size_t n = points.rows();
   k = std::min(k, n);
   std::vector<std::pair<double, std::size_t>> dist(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    dist[i] = {metric == DistanceMetric::kManhattan
-                   ? linalg::manhattan_distance(points.row(i), q)
-                   : linalg::squared_distance(points.row(i), q),
-               i};
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    dist[i] = {linalg::squared_distance(points.row(i), q), i};
   std::partial_sort(dist.begin(),
                     dist.begin() + static_cast<std::ptrdiff_t>(k),
                     dist.end());

@@ -5,24 +5,26 @@
 // n-entry (distance, index) vector per query, and partial_sort'ed it —
 // cache-hostile and allocation-bound. This kernel stores the training
 // set feature-major (column-major: feature j of every point contiguous),
-// computes distances tile-by-tile so the compiler vectorizes across the
-// points of a tile, and keeps only the best k via insertion into a
-// k-slot scratch array. No allocation on the query path.
+// computes squared Euclidean distances tile-by-tile so the compiler
+// vectorizes across the points of a tile, and keeps only the best k via
+// insertion into a k-slot scratch array. No allocation on the query path.
+// Both query entry points run the same scan; they differ only in the
+// stride at which the query's features are read.
 //
 // Numerical contract: per-point distance accumulation visits features in
-// ascending order — exactly the order of linalg::squared_distance /
-// manhattan_distance — so distances (and therefore neighbour order,
-// votes, and novelty scores) are bit-identical to the seed's scalar
-// path. Ties in distance break toward the lower training index, matching
+// ascending order — exactly the order of linalg::squared_distance — so
+// distances (and therefore neighbour order, votes, and novelty scores)
+// are bit-identical to the seed's scalar path, kept as reference_top_k.
+// Ties in distance break toward the lower training index, matching
 // partial_sort over (distance, index) pairs.
 //
-// Precomputed norms: each point's squared L2 norm (or L1 norm under
-// Manhattan) is stored at build time, folded into per-tile [min, max]
-// norm bounds. A tile whose whole norm range is provably farther than
-// the current k-th best — by the reverse triangle inequality
-// d(q, x) >= |norm(q) - norm(x)| — is skipped without touching its
-// features. The bound is slackened by a relative epsilon so floating-
-// point rounding can never prune a point the exact scan would keep.
+// Precomputed norms: each point's L2 norm is computed at build time and
+// folded into per-tile [min, max] norm bounds. A tile whose whole norm
+// range is provably farther than the current k-th best — by the reverse
+// triangle inequality |q - x| >= | |q| - |x| | — is skipped without
+// touching its features. The bound is slackened by a relative epsilon so
+// floating-point rounding can never prune a point the exact scan would
+// keep.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +36,6 @@
 #include "linalg/matrix.hpp"
 
 namespace appclass::engine {
-
-enum class DistanceMetric { kEuclidean, kManhattan };
 
 /// A batch of query points in the kernel's own feature-major SoA layout:
 /// feature j of query i lives at data()[j * stride() + i]. Producers
@@ -83,8 +83,8 @@ class BlockedKnnIndex {
   /// tile of the paper's 2-D projected space lives in L1.
   static constexpr std::size_t kTile = 256;
 
-  /// One neighbour candidate: metric-space distance (squared L2, or L1
-  /// sum) and the training-point index.
+  /// One neighbour candidate: squared Euclidean distance and the
+  /// training-point index.
   struct Hit {
     double distance = 0.0;
     std::uint32_t index = 0;
@@ -101,8 +101,8 @@ class BlockedKnnIndex {
   struct Scratch {
     std::vector<double> acc;
     std::vector<Hit> hits;
-    /// Per-8-candidate chunk minima of `acc`, filled by the batched scan
-    /// so its selection loop can skip whole chunks (see top_k_block).
+    /// Per-8-candidate chunk minima of `acc`, filled by the scan so its
+    /// selection loop can skip whole chunks (see top_k_scan).
     std::vector<double> chunk_mins;
     /// Tiles skipped by the norm-bound prune since construction (or the
     /// caller's last reset); accumulates across queries so shard spans
@@ -115,14 +115,12 @@ class BlockedKnnIndex {
   /// Copies `points` (row-major, one training point per row) into the
   /// blocked SoA layout. `k` is clamped to the point count at query time.
   void build(const linalg::Matrix& points,
-             std::vector<core::ApplicationClass> labels, std::size_t k,
-             DistanceMetric metric);
+             std::vector<core::ApplicationClass> labels, std::size_t k);
 
   bool built() const noexcept { return !labels_.empty(); }
   std::size_t size() const noexcept { return labels_.size(); }
   std::size_t dimension() const noexcept { return dims_; }
   std::size_t k() const noexcept { return k_; }
-  DistanceMetric metric() const noexcept { return metric_; }
   std::span<const core::ApplicationClass> labels() const noexcept {
     return labels_;
   }
@@ -134,58 +132,40 @@ class BlockedKnnIndex {
 
   /// Same query, reading point `i` of a feature-major QueryBlock in
   /// place (stride = block.stride()). This is the batched-ingest entry
-  /// point: it runs the tuned block scan (no-fill distance tiles plus a
-  /// branch-free threshold filter over the selection sweep), which is
-  /// bit-identical to the span overload on the same coordinates — the
-  /// per-feature arithmetic, candidate order, and tie handling are the
-  /// reference scan's, only provably-skippable work is skipped.
+  /// point; it runs the same scan as the span overload, so the two are
+  /// bit-identical on the same coordinates.
   std::span<const Hit> top_k(const QueryBlock& block, std::size_t i,
                              Scratch& scratch) const;
-
-  /// Metric-space distance to the single nearest training point
-  /// (squared L2 under Euclidean — take sqrt for the novelty score).
-  double nearest_distance(std::span<const double> q,
-                          Scratch& scratch) const;
 
   /// Majority vote over hits; ties break by summed inverse rank (nearer
   /// neighbours win), matching the seed classifier.
   Vote vote(std::span<const Hit> hits) const;
 
  private:
-  /// Shared strided implementation: feature j of the query at
-  /// q[j * qstride]. The span path passes qstride = 1, the QueryBlock
-  /// path its stride — per-feature arithmetic and order are identical.
-  std::span<const Hit> top_k_strided(const double* q, std::size_t qstride,
-                                     Scratch& scratch) const;
-  /// The tuned scan behind the QueryBlock overload. Output-identical to
-  /// top_k_strided; faster on drain-sized batches because the selection
-  /// sweep tests candidate runs against the current k-th distance with a
-  /// branch-free compare-OR before touching the insertion loop, and the
-  /// distance tiles skip their zeroing pass.
-  std::span<const Hit> top_k_block(const double* q, std::size_t qstride,
-                                   Scratch& scratch) const;
-  /// Computes distances of points [t0, t0+width) into scratch.acc.
+  /// The one top-k scan behind both overloads: feature j of the query at
+  /// q[j * qstride]. The selection sweep tests 8-candidate chunks against
+  /// the current k-th distance before touching the insertion loop; only
+  /// provably-skippable work is skipped, so the hits are exactly the k
+  /// lexicographically smallest (distance, index) pairs.
+  std::span<const Hit> top_k_scan(const double* q, std::size_t qstride,
+                                  Scratch& scratch) const;
+  /// Squared distances of points [t0, t0+width) into scratch.acc. The
+  /// first feature stores rather than adding into a zeroed accumulator
+  /// (0 + term == term for the non-negative per-feature terms, so the
+  /// results are bit-identical to the ascending-feature sum).
   void tile_distances(const double* q, std::size_t qstride, std::size_t t0,
                       std::size_t width, std::vector<double>& acc) const;
-  /// tile_distances with the first feature storing instead of adding
-  /// into a zeroed accumulator (0 + term == term for the non-negative
-  /// per-feature terms, so results are bit-identical).
-  void tile_distances_nofill(const double* q, std::size_t qstride,
-                             std::size_t t0, std::size_t width,
-                             std::vector<double>& acc) const;
   /// Reverse-triangle-inequality lower bound of tile t for a query of
-  /// norm `qnorm` (metric space: squared for L2), slackened for FP
+  /// norm `qnorm`, squared like the distances and slackened for FP
   /// safety; 0 when the tile cannot be pruned.
   double tile_lower_bound(std::size_t t, double qnorm) const;
   double query_norm(const double* q, std::size_t qstride) const;
 
   std::size_t dims_ = 0;
   std::size_t k_ = 3;
-  DistanceMetric metric_ = DistanceMetric::kEuclidean;
   std::size_t padded_ = 0;           ///< point count rounded up to kTile
   std::vector<double> features_;     ///< [dims_][padded_] feature-major
-  std::vector<double> sq_norms_;     ///< per point: |x|^2 (L2) or |x|_1
-  std::vector<double> tile_min_norm_;  ///< per tile, unsquared norms
+  std::vector<double> tile_min_norm_;  ///< per tile, unsquared L2 norms
   std::vector<double> tile_max_norm_;
   std::vector<core::ApplicationClass> labels_;
 };
@@ -195,7 +175,6 @@ class BlockedKnnIndex {
 /// query, allocate an n-entry (distance, index) vector, fill it with
 /// span-based distance calls over the row-major matrix, partial_sort.
 std::vector<BlockedKnnIndex::Hit> reference_top_k(
-    const linalg::Matrix& points, std::span<const double> q, std::size_t k,
-    DistanceMetric metric);
+    const linalg::Matrix& points, std::span<const double> q, std::size_t k);
 
 }  // namespace appclass::engine

@@ -157,14 +157,6 @@ double euclidean_distance(std::span<const double> a,
   return std::sqrt(squared_distance(a, b));
 }
 
-double manhattan_distance(std::span<const double> a,
-                          std::span<const double> b) {
-  APPCLASS_EXPECTS(a.size() == b.size());
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += std::abs(a[i] - b[i]);
-  return s;
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   APPCLASS_EXPECTS(a.size() == b.size());
   double s = 0.0;

@@ -138,9 +138,6 @@ double euclidean_distance(std::span<const double> a, std::span<const double> b);
 /// Squared Euclidean distance (avoids the sqrt in nearest-neighbour loops).
 double squared_distance(std::span<const double> a, std::span<const double> b);
 
-/// Manhattan (L1) distance.
-double manhattan_distance(std::span<const double> a, std::span<const double> b);
-
 /// Dot product of two equal-length vectors.
 double dot(std::span<const double> a, std::span<const double> b);
 

@@ -92,24 +92,6 @@ TEST(Knn, ThreeWayTieBreaksTowardNearest) {
             ApplicationClass::kIo);
 }
 
-TEST(Knn, ManhattanMetricChangesGeometry) {
-  // Point equidistant in L2 but not in L1.
-  linalg::Matrix points{{2.0, 0.0}, {1.2, 1.2}};
-  std::vector<ApplicationClass> labels = {ApplicationClass::kCpu,
-                                          ApplicationClass::kIo};
-  KnnClassifier euclid(KnnOptions{.k = 1, .metric = DistanceMetric::kEuclidean});
-  euclid.train(points, labels);
-  KnnClassifier manhattan(
-      KnnOptions{.k = 1, .metric = DistanceMetric::kManhattan});
-  manhattan.train(points, labels);
-  // Query at origin: L2 distances 2.0 vs 1.697 (io wins);
-  // L1 distances 2.0 vs 2.4 (cpu wins).
-  EXPECT_EQ(label_of(euclid, std::vector<double>{0.0, 0.0}),
-            ApplicationClass::kIo);
-  EXPECT_EQ(label_of(manhattan, std::vector<double>{0.0, 0.0}),
-            ApplicationClass::kCpu);
-}
-
 TEST(Knn, BatchQueryMatchesPointwise) {
   const auto knn = two_cluster_classifier();
   linalg::Matrix queries{{0.0, 0.0}, {10.0, 0.1}, {5.1, 0.0}};

@@ -135,6 +135,49 @@ TEST(Serialize, RejectsUnknownMetric) {
   EXPECT_THROW(load_pipeline(text), std::runtime_error);
 }
 
+/// A footer-less v1 model whose knn section header is `knn_line`.
+std::string v1_model_with_knn_line(const std::string& knn_line) {
+  return "appclass-pipeline v1\n"
+         "metrics 2 cpu_user bytes_in\n"
+         "norm-mean 50 1000\n"
+         "norm-stddev 10 250\n"
+         "pca 2 1\n"
+         "pca-mean 0 0\n"
+         "pca-eigenvalues 1.5 0.5\n"
+         "pca-row 0.75\n"
+         "pca-row -0.5\n" +
+         knn_line +
+         "\n"
+         "cpu 1.25\n"
+         "io -0.5\n"
+         "idle 0\n";
+}
+
+std::string load_error(const std::string& text) {
+  try {
+    load_pipeline(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "loaded";
+}
+
+TEST(Serialize, RejectsBadKnnHeaderAsParseError) {
+  // The classifier asserts an odd k >= 1; the loader must refuse such a
+  // file with a parse error instead of reaching that assertion. Only the
+  // Euclidean metric exists.
+  EXPECT_EQ(load_error(v1_model_with_knn_line("knn 3 1 euclidean")),
+            "loaded");
+  EXPECT_EQ(load_error(v1_model_with_knn_line("knn 3 0 euclidean")),
+            "pipeline deserialization: k must be odd, got 0");
+  EXPECT_EQ(load_error(v1_model_with_knn_line("knn 3 2 euclidean")),
+            "pipeline deserialization: k must be odd, got 2");
+  EXPECT_EQ(load_error(v1_model_with_knn_line("knn 3 1 manhattan")),
+            "pipeline deserialization: unknown distance metric 'manhattan'");
+  EXPECT_EQ(load_error(v1_model_with_knn_line("knn 3 1 cosine")),
+            "pipeline deserialization: unknown distance metric 'cosine'");
+}
+
 TEST(Serialize, RejectsUnknownClassLabel) {
   std::string text = save_pipeline(trained());
   const auto pos = text.find("\nidle ");

@@ -1,8 +1,9 @@
 // The blocked SoA kernel must agree bit-for-bit with the seed's scalar
 // query path (preserved as engine::reference_top_k): same distances,
 // same neighbour order, same tie-breaks, for every size around the tile
-// boundary and under both metrics — otherwise threaded classification
-// could drift from the serial baseline.
+// boundary, every tile-distance shape (one feature, the fused two-feature
+// pass, store + accumulate) and both query entry points — otherwise
+// threaded classification could drift from the serial baseline.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -15,7 +16,6 @@ namespace appclass {
 namespace {
 
 using engine::BlockedKnnIndex;
-using engine::DistanceMetric;
 
 linalg::Matrix random_points(std::size_t n, std::size_t dims,
                              std::uint32_t seed) {
@@ -35,17 +35,17 @@ std::vector<core::ApplicationClass> cycling_labels(std::size_t n) {
 }
 
 void expect_matches_reference(std::size_t n, std::size_t dims, std::size_t k,
-                              DistanceMetric metric, std::uint32_t seed) {
+                              std::uint32_t seed) {
   const linalg::Matrix points = random_points(n, dims, seed);
   BlockedKnnIndex index;
-  index.build(points, cycling_labels(n), k, metric);
+  index.build(points, cycling_labels(n), k);
   BlockedKnnIndex::Scratch scratch;
 
   const linalg::Matrix queries = random_points(64, dims, seed + 1);
   for (std::size_t r = 0; r < queries.rows(); ++r) {
     const auto q = queries.row(r);
     const auto hits = index.top_k(q, scratch);
-    const auto expected = engine::reference_top_k(points, q, k, metric);
+    const auto expected = engine::reference_top_k(points, q, k);
     ASSERT_EQ(hits.size(), expected.size());
     for (std::size_t i = 0; i < hits.size(); ++i) {
       // Bit-identical, not approximately equal: both paths must sum the
@@ -55,7 +55,6 @@ void expect_matches_reference(std::size_t n, std::size_t dims, std::size_t k,
       EXPECT_EQ(hits[i].index, expected[i].index)
           << "n=" << n << " k=" << k << " query=" << r << " rank=" << i;
     }
-    EXPECT_EQ(index.nearest_distance(q, scratch), expected[0].distance);
   }
 }
 
@@ -64,31 +63,35 @@ TEST(EngineKernel, MatchesReferenceAcrossTileBoundaries) {
   for (const std::size_t n :
        {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{7},
         tile - 1, tile, tile + 1, 3 * tile, 3 * tile + 5}) {
-    expect_matches_reference(n, 2, 3, DistanceMetric::kEuclidean,
-                             static_cast<std::uint32_t>(n));
+    expect_matches_reference(n, 2, 3, static_cast<std::uint32_t>(n));
   }
 }
 
-TEST(EngineKernel, MatchesReferenceUnderManhattan) {
+TEST(EngineKernel, MatchesReferenceAcrossDimensions) {
+  // dims = 1 runs only the first-feature store, 3 and 8 the store plus
+  // accumulate sweeps; the fused two-feature pass is the tile-boundary
+  // test above.
   const std::size_t tile = BlockedKnnIndex::kTile;
-  for (const std::size_t n : {std::size_t{5}, tile, 2 * tile + 17}) {
-    expect_matches_reference(n, 8, 3, DistanceMetric::kManhattan,
-                             static_cast<std::uint32_t>(100 + n));
+  for (const std::size_t dims : {std::size_t{1}, std::size_t{3},
+                                 std::size_t{8}}) {
+    for (const std::size_t n : {std::size_t{5}, tile, 2 * tile + 17}) {
+      expect_matches_reference(n, dims, 3,
+                               static_cast<std::uint32_t>(100 + n + dims));
+    }
   }
 }
 
 TEST(EngineKernel, MatchesReferenceForVariousK) {
   for (const std::size_t k : {std::size_t{1}, std::size_t{5}, std::size_t{9},
                               std::size_t{31}}) {
-    expect_matches_reference(500, 4, k, DistanceMetric::kEuclidean,
-                             static_cast<std::uint32_t>(1000 + k));
+    expect_matches_reference(500, 4, k, static_cast<std::uint32_t>(1000 + k));
   }
 }
 
 TEST(EngineKernel, KLargerThanPointCountIsClamped) {
   const linalg::Matrix points = random_points(4, 2, 7);
   BlockedKnnIndex index;
-  index.build(points, cycling_labels(4), 9, DistanceMetric::kEuclidean);
+  index.build(points, cycling_labels(4), 9);
   BlockedKnnIndex::Scratch scratch;
   const auto hits = index.top_k(points.row(0), scratch);
   EXPECT_EQ(hits.size(), 4u);
@@ -100,7 +103,7 @@ TEST(EngineKernel, SelfDistanceIsExactlyZero) {
   // at distance exactly 0.0 — the novelty tests depend on this.
   const linalg::Matrix points = random_points(700, 2, 42);
   BlockedKnnIndex index;
-  index.build(points, cycling_labels(700), 3, DistanceMetric::kEuclidean);
+  index.build(points, cycling_labels(700), 3);
   BlockedKnnIndex::Scratch scratch;
   for (std::size_t r = 0; r < points.rows(); r += 13) {
     const auto hits = index.top_k(points.row(r), scratch);
@@ -126,14 +129,11 @@ TEST(EngineKernel, PruningNeverChangesResults) {
     points(r, 1) = 1000.0 + noise(rng);
   }
   BlockedKnnIndex index;
-  index.build(points, cycling_labels(2 * half), 3,
-              DistanceMetric::kEuclidean);
+  index.build(points, cycling_labels(2 * half), 3);
   BlockedKnnIndex::Scratch scratch;
   for (std::size_t r = 0; r < 2 * half; r += 37) {
     const auto hits = index.top_k(points.row(r), scratch);
-    const auto expected =
-        engine::reference_top_k(points, points.row(r), 3,
-                                DistanceMetric::kEuclidean);
+    const auto expected = engine::reference_top_k(points, points.row(r), 3);
     for (std::size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i].distance, expected[i].distance);
       EXPECT_EQ(hits[i].index, expected[i].index);
@@ -147,7 +147,7 @@ TEST(EngineKernel, TieBreaksTowardLowerIndex) {
   // (distance, index) pairs.
   linalg::Matrix points{{1.0, 0.0}, {0.0, 1.0}, {-1.0, 0.0}, {0.0, -1.0}};
   BlockedKnnIndex index;
-  index.build(points, cycling_labels(4), 3, DistanceMetric::kEuclidean);
+  index.build(points, cycling_labels(4), 3);
   BlockedKnnIndex::Scratch scratch;
   const auto hits = index.top_k(std::vector<double>{0.0, 0.0}, scratch);
   ASSERT_EQ(hits.size(), 3u);
@@ -159,14 +159,14 @@ TEST(EngineKernel, TieBreaksTowardLowerIndex) {
 TEST(EngineKernel, QueryBlockStridedPathMatchesContiguousPath) {
   // The streaming drain lays query points feature-major in a QueryBlock
   // (stride = block capacity); the strided loads must reproduce the
-  // contiguous span path bit-for-bit — only addresses change, never the
-  // order the per-feature terms are accumulated in.
-  for (const auto metric :
-       {DistanceMetric::kEuclidean, DistanceMetric::kManhattan}) {
-    const std::size_t dims = 3;
+  // reference scan over contiguous rows bit-for-bit — only addresses
+  // change, never the order the per-feature terms are accumulated in.
+  // dims = 2 reads the second feature through the fused pair pass, 3
+  // through the accumulate sweep.
+  for (const std::size_t dims : {std::size_t{2}, std::size_t{3}}) {
     const linalg::Matrix points = random_points(700, dims, 11);
     BlockedKnnIndex index;
-    index.build(points, cycling_labels(700), 3, metric);
+    index.build(points, cycling_labels(700), 3);
     BlockedKnnIndex::Scratch scratch;
 
     const linalg::Matrix queries = random_points(40, dims, 12);
@@ -184,17 +184,13 @@ TEST(EngineKernel, QueryBlockStridedPathMatchesContiguousPath) {
 
     for (std::size_t i = 0; i < queries.rows(); ++i) {
       const auto strided = index.top_k(block, i, scratch);
-      // Copy before the second query: both calls share the scratch the
-      // returned span points into.
-      const std::vector<BlockedKnnIndex::Hit> strided_hits(strided.begin(),
-                                                           strided.end());
-      const auto contiguous = index.top_k(queries.row(i), scratch);
-      ASSERT_EQ(strided_hits.size(), contiguous.size());
-      for (std::size_t r = 0; r < contiguous.size(); ++r) {
-        EXPECT_EQ(strided_hits[r].distance, contiguous[r].distance)
-            << "query=" << i << " rank=" << r;
-        EXPECT_EQ(strided_hits[r].index, contiguous[r].index)
-            << "query=" << i << " rank=" << r;
+      const auto expected = engine::reference_top_k(points, queries.row(i), 3);
+      ASSERT_EQ(strided.size(), expected.size());
+      for (std::size_t r = 0; r < expected.size(); ++r) {
+        EXPECT_EQ(strided[r].distance, expected[r].distance)
+            << "dims=" << dims << " query=" << i << " rank=" << r;
+        EXPECT_EQ(strided[r].index, expected[r].index)
+            << "dims=" << dims << " query=" << i << " rank=" << r;
       }
     }
   }
@@ -206,7 +202,7 @@ TEST(EngineKernel, VoteMatchesSeedSemantics) {
   index.build(points,
               {core::ApplicationClass::kCpu, core::ApplicationClass::kCpu,
                core::ApplicationClass::kIo},
-              3, DistanceMetric::kEuclidean);
+              3);
   BlockedKnnIndex::Scratch scratch;
   const auto hits = index.top_k(std::vector<double>{0.9, 0.0}, scratch);
   const auto vote = index.vote(hits);

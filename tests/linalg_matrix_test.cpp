@@ -165,12 +165,6 @@ TEST(VectorOps, EuclideanDistance) {
   EXPECT_DOUBLE_EQ(squared_distance(a, b), 25.0);
 }
 
-TEST(VectorOps, ManhattanDistance) {
-  const std::vector<double> a = {1, -1};
-  const std::vector<double> b = {-2, 3};
-  EXPECT_DOUBLE_EQ(manhattan_distance(a, b), 7.0);
-}
-
 TEST(VectorOps, DotAndNorm) {
   const std::vector<double> a = {1, 2, 2};
   EXPECT_DOUBLE_EQ(dot(a, a), 9.0);
@@ -181,7 +175,6 @@ TEST(VectorOps, DistanceIsSymmetric) {
   const std::vector<double> a = {1, 2, 3};
   const std::vector<double> b = {-1, 0, 7};
   EXPECT_DOUBLE_EQ(euclidean_distance(a, b), euclidean_distance(b, a));
-  EXPECT_DOUBLE_EQ(manhattan_distance(a, b), manhattan_distance(b, a));
 }
 
 TEST(VectorOps, TriangleInequalityHolds) {
