@@ -3,8 +3,8 @@
 //
 // 24 mixed jobs (cpu/io/network, uniform) arrive with exponential
 // inter-arrival times on a 4-VM cluster; four policies place each job on
-// arrival. Class-aware placement consults the live gmetad view through
-// the PlacementAdvisor.
+// arrival. Class-aware placement breaks ties with the live gmetad view
+// (sched::headroom).
 #include <cstdio>
 
 #include "sched/queue.hpp"

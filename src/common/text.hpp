@@ -3,6 +3,7 @@
 // model files, checkpoints).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <optional>
@@ -28,9 +29,10 @@ inline std::optional<long long> parse_int(std::string_view text) {
   return v;
 }
 
-/// Reads whitespace-separated tokens of a text format. Every failure
-/// throws std::runtime_error: the caller's `error_prefix`, then what
-/// went wrong (the way verify_checksummed() reports).
+/// Reads whitespace-separated tokens of a text format held in memory (a
+/// std::istringstream). Every failure throws std::runtime_error: the
+/// caller's `error_prefix`, then what went wrong (the way
+/// verify_checksummed() reports).
 class TokenReader {
  public:
   TokenReader(std::istream& is, std::string_view error_prefix)
@@ -54,6 +56,18 @@ class TokenReader {
     const auto v = read<long long>("bad count");
     if (v < 0) fail("bad count");
     return static_cast<std::size_t>(v);
+  }
+
+  /// The count of items that follow, each taking at least one byte of the
+  /// input: a count above the bytes left is rejected before the caller
+  /// sizes a buffer by it.
+  std::size_t read_count(std::string_view what) {
+    const std::size_t n = read_size();
+    const std::streamsize left = is_.rdbuf()->in_avail();
+    if (n > static_cast<std::size_t>(std::max<std::streamsize>(left, 0)))
+      fail(std::string(what) + " count " + std::to_string(n) +
+           " exceeds the input");
+    return n;
   }
 
  private:

@@ -50,12 +50,6 @@ ApplicationClass NearestCentroidClassifier::classify(
   return class_from_index(best_class);
 }
 
-std::span<const double> NearestCentroidClassifier::centroid(
-    ApplicationClass cls) const {
-  APPCLASS_EXPECTS(has_class(cls));
-  return centroids_[index_of(cls)];
-}
-
 WeightedKnnClassifier::WeightedKnnClassifier(std::size_t k, double epsilon)
     : k_(k), epsilon_(epsilon) {
   APPCLASS_EXPECTS(k >= 1);

@@ -45,12 +45,6 @@ class NearestCentroidClassifier final : public SnapshotClassifier {
              std::vector<ApplicationClass> labels) override;
   ApplicationClass classify(std::span<const double> point) const override;
 
-  /// Centroid of a class (valid after train; class must have had samples).
-  std::span<const double> centroid(ApplicationClass cls) const;
-  bool has_class(ApplicationClass cls) const {
-    return counts_[index_of(cls)] > 0;
-  }
-
  private:
   std::array<std::vector<double>, kClassCount> centroids_;
   std::array<std::size_t, kClassCount> counts_{};

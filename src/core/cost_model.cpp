@@ -15,12 +15,4 @@ double CostModel::run_cost(const RunRecord& run) const {
          static_cast<double>(run.elapsed_seconds);
 }
 
-double CostModel::expected_cost(const ApplicationProfile& profile) const {
-  double unit = 0.0;
-  for (std::size_t c = 0; c < kClassCount; ++c)
-    unit += costs_.for_class(class_from_index(c)) *
-            profile.mean_fractions[c];
-  return unit * profile.elapsed.mean();
-}
-
 }  // namespace appclass::core

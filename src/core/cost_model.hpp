@@ -48,10 +48,6 @@ class CostModel {
   /// Total price of one recorded run (unit cost x elapsed time).
   double run_cost(const RunRecord& run) const;
 
-  /// Expected price of a future run given an aggregated profile (mean
-  /// composition x mean elapsed time).
-  double expected_cost(const ApplicationProfile& profile) const;
-
  private:
   UnitCosts costs_;
 };

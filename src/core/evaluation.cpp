@@ -1,6 +1,5 @@
 #include "core/evaluation.hpp"
 
-#include <cstdio>
 #include <numeric>
 
 #include "common/assert.hpp"
@@ -57,27 +56,6 @@ void ConfusionMatrix::merge(const ConfusionMatrix& other) {
     for (std::size_t p = 0; p < kClassCount; ++p)
       counts_[t][p] += other.counts_[t][p];
   total_ += other.total_;
-}
-
-std::string ConfusionMatrix::to_string() const {
-  std::string out = "true\\pred";
-  char buf[64];
-  for (std::size_t p = 0; p < kClassCount; ++p) {
-    std::snprintf(buf, sizeof buf, "%9s",
-                  std::string(kClassNames[p]).c_str());
-    out += buf;
-  }
-  out += '\n';
-  for (std::size_t t = 0; t < kClassCount; ++t) {
-    std::snprintf(buf, sizeof buf, "%-9s", std::string(kClassNames[t]).c_str());
-    out += buf;
-    for (std::size_t p = 0; p < kClassCount; ++p) {
-      std::snprintf(buf, sizeof buf, "%9zu", counts_[t][p]);
-      out += buf;
-    }
-    out += '\n';
-  }
-  return out;
 }
 
 LabeledSnapshots flatten(const std::vector<LabeledPool>& pools) {

@@ -47,9 +47,6 @@ class ConfusionMatrix {
   /// Merges another matrix (for cross-validation fold aggregation).
   void merge(const ConfusionMatrix& other);
 
-  /// Fixed-width table with class names.
-  std::string to_string() const;
-
  private:
   std::array<std::array<std::size_t, kClassCount>, kClassCount> counts_{};
   std::size_t total_ = 0;

@@ -124,7 +124,7 @@ ClassificationPipeline load_pipeline(const std::string& text) {
 
   // --- knn ---
   in.expect_tag("knn");
-  const std::size_t n = in.read_size();
+  const std::size_t n = in.read_count("training point");
   const std::size_t k = in.read_size();
   // KnnClassifier asserts an odd k >= 1; a file must not reach it.
   if (k % 2 == 0) in.fail("k must be odd, got " + std::to_string(k));

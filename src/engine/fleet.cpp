@@ -16,8 +16,6 @@ struct FleetMetrics {
       obs::MetricsRegistry::global().gauge("appclass_fleet_backlog");
   obs::Counter& drained = obs::MetricsRegistry::global().counter(
       "appclass_fleet_drained_total");
-  obs::Counter& batch_pools = obs::MetricsRegistry::global().counter(
-      "appclass_fleet_batch_pools_total");
   // Backpressure telemetry: is ingest keeping up with the fleet?
   obs::Counter& dropped = obs::MetricsRegistry::global().counter(
       "appclass_fleet_dropped_total");
@@ -45,21 +43,6 @@ FleetMetrics& fleet_metrics() {
 }
 
 }  // namespace
-
-std::vector<core::ClassificationResult> BatchClassifier::classify_pools(
-    const std::vector<metrics::DataPool>& pools) const {
-  APPCLASS_EXPECTS(pipeline_.trained());
-  std::vector<core::ClassificationResult> results(pools.size());
-  obs::TraceSpan span("batch_classify");
-  span.add_attr({"pools", pools.size()});
-  // One task per pool; classify() shards further on the same context
-  // (nested parallel_for is cooperative, so this never deadlocks).
-  pipeline_.context()->for_each(pools.size(), [&](std::size_t p) {
-    results[p] = pipeline_.classify(pools[p]);
-  });
-  fleet_metrics().batch_pools.inc(pools.size());
-  return results;
-}
 
 FleetStream::FleetStream(const core::ClassificationPipeline& pipeline,
                          core::OnlineOptions options, std::size_t max_backlog,

@@ -1,17 +1,12 @@
-// Fleet-scale classification: many pools / many nodes' online streams
-// through one trained pipeline.
+// Fleet-scale classification: many nodes' online streams through one
+// trained pipeline.
 //
-// Two entry points share the pipeline's engine::ExecutionContext:
-//
-//   * BatchClassifier fans a set of DataPools out as one task per pool
-//     (each pool's classify() additionally shards internally), for
-//     offline jobs that re-classify a whole fleet's recorded runs.
-//   * FleetStream is the online counterpart: it buffers grid-aligned
-//     snapshots pushed from any thread (e.g. a monitor::MetricBus
-//     subscription) and, on drain(), classifies the backlog in parallel
-//     but ingests the labels into the OnlineClassifier serially in push
-//     order — so window state, debounce, and change events are
-//     bit-identical to calling observe() snapshot by snapshot.
+// FleetStream buffers grid-aligned snapshots pushed from any thread (e.g.
+// a monitor::MetricBus subscription) and, on drain(), classifies the
+// backlog in parallel on the pipeline's engine::ExecutionContext but
+// ingests the labels into the OnlineClassifier serially in push order —
+// so window state, debounce, and change events are bit-identical to
+// calling observe() snapshot by snapshot.
 #pragma once
 
 #include <chrono>
@@ -27,22 +22,6 @@
 #include "monitor/bus.hpp"
 
 namespace appclass::engine {
-
-/// Classifies many recorded runs concurrently. Results are indexed like
-/// the input and independent of the thread count.
-class BatchClassifier {
- public:
-  /// The pipeline must stay alive for the classifier's lifetime.
-  explicit BatchClassifier(const core::ClassificationPipeline& pipeline)
-      : pipeline_(pipeline) {}
-
-  /// One ClassificationResult per pool, in input order.
-  std::vector<core::ClassificationResult> classify_pools(
-      const std::vector<metrics::DataPool>& pools) const;
-
- private:
-  const core::ClassificationPipeline& pipeline_;
-};
 
 /// Online fan-in for a whole fleet of nodes.
 ///

@@ -16,6 +16,12 @@ double off_diagonal_norm(const Matrix& a) {
 
 namespace {
 
+/// Convergence threshold on the off-diagonal Frobenius norm, relative to
+/// the norm of the input matrix.
+constexpr double kTolerance = 1e-12;
+/// Hard cap on sweeps; 8x8 covariance matrices converge in < 10.
+constexpr int kMaxSweeps = 64;
+
 /// Applies one Jacobi rotation zeroing a(p,q), updating `a` (symmetric) and
 /// accumulating the rotation into `v`.
 void rotate(Matrix& a, Matrix& v, std::size_t p, std::size_t q) {
@@ -57,8 +63,7 @@ void rotate(Matrix& a, Matrix& v, std::size_t p, std::size_t q) {
 
 }  // namespace
 
-EigenDecomposition symmetric_eigen(const Matrix& a,
-                                   const JacobiOptions& options) {
+EigenDecomposition symmetric_eigen(const Matrix& a) {
   APPCLASS_EXPECTS(a.rows() == a.cols());
   const std::size_t n = a.rows();
 
@@ -70,10 +75,10 @@ EigenDecomposition symmetric_eigen(const Matrix& a,
 
   Matrix v = Matrix::identity(n);
   const double scale = std::max(work.frobenius_norm(), 1e-300);
-  const double threshold = options.tolerance * scale;
+  const double threshold = kTolerance * scale;
 
   int sweep = 0;
-  for (; sweep < options.max_sweeps; ++sweep) {
+  for (; sweep < kMaxSweeps; ++sweep) {
     if (off_diagonal_norm(work) <= threshold) break;
     for (std::size_t p = 0; p + 1 < n; ++p)
       for (std::size_t q = p + 1; q < n; ++q)

@@ -26,25 +26,18 @@ struct EigenDecomposition {
   int sweeps = 0;       // Jacobi sweeps actually performed
 };
 
-/// Options controlling the Jacobi iteration.
-struct JacobiOptions {
-  /// Convergence threshold on the off-diagonal Frobenius norm, relative to
-  /// the norm of the input matrix.
-  double tolerance = 1e-12;
-  /// Hard cap on sweeps; 8x8 covariance matrices converge in < 10.
-  int max_sweeps = 64;
-};
-
 /// Computes the full eigensystem of a symmetric matrix `a` using cyclic
 /// Jacobi rotations.
 ///
 /// Preconditions: `a` is square and numerically symmetric (the routine
 /// symmetrizes (a+aᵀ)/2 internally to absorb round-off asymmetry, but a
-/// grossly non-symmetric input is a contract violation).
-EigenDecomposition symmetric_eigen(const Matrix& a,
-                                   const JacobiOptions& options = {});
+/// grossly non-symmetric input is a contract violation). Iterates until the
+/// off-diagonal norm falls to 1e-12 of the input's Frobenius norm, or for
+/// at most 64 sweeps.
+EigenDecomposition symmetric_eigen(const Matrix& a);
 
-/// Sum of |a(i,j)| for i != j — the Jacobi convergence functional.
+/// Frobenius norm of the off-diagonal part (sqrt of the sum of a(i,j)^2
+/// for i != j) — the Jacobi convergence functional.
 double off_diagonal_norm(const Matrix& a);
 
 }  // namespace appclass::linalg

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace appclass::linalg {
 
@@ -30,24 +29,6 @@ Matrix Matrix::identity(std::size_t n) {
   Matrix m(n, n, 0.0);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
   return m;
-}
-
-std::vector<double> Matrix::col(std::size_t c) const {
-  APPCLASS_EXPECTS(c < cols_);
-  std::vector<double> out(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) out[r] = data_[r * cols_ + c];
-  return out;
-}
-
-void Matrix::set_row(std::size_t r, std::span<const double> values) {
-  APPCLASS_EXPECTS(r < rows_ && values.size() == cols_);
-  std::copy(values.begin(), values.end(), data_.begin() +
-            static_cast<std::ptrdiff_t>(r * cols_));
-}
-
-void Matrix::set_col(std::size_t c, std::span<const double> values) {
-  APPCLASS_EXPECTS(c < cols_ && values.size() == rows_);
-  for (std::size_t r = 0; r < rows_; ++r) data_[r * cols_ + c] = values[r];
 }
 
 void Matrix::append_row(std::span<const double> values) {
@@ -87,18 +68,6 @@ std::vector<double> Matrix::multiply(std::span<const double> v) const {
   return out;
 }
 
-Matrix& Matrix::operator+=(const Matrix& rhs) {
-  APPCLASS_EXPECTS(rows_ == rhs.rows_ && cols_ == rhs.cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& rhs) {
-  APPCLASS_EXPECTS(rows_ == rhs.rows_ && cols_ == rhs.cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
-  return *this;
-}
-
 Matrix& Matrix::operator*=(double s) {
   for (double& x : data_) x *= s;
   return *this;
@@ -125,21 +94,6 @@ Matrix Matrix::block(std::size_t r0, std::size_t c0, std::size_t nr,
   for (std::size_t r = 0; r < nr; ++r)
     for (std::size_t c = 0; c < nc; ++c) out(r, c) = (*this)(r0 + r, c0 + c);
   return out;
-}
-
-std::string Matrix::to_string(int precision) const {
-  std::ostringstream os;
-  os.precision(precision);
-  os << std::fixed;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    os << (r == 0 ? "[" : " ");
-    for (std::size_t c = 0; c < cols_; ++c) {
-      os << (*this)(r, c);
-      if (c + 1 < cols_) os << ", ";
-    }
-    os << (r + 1 < rows_ ? ";\n" : "]");
-  }
-  return os.str();
 }
 
 double squared_distance(std::span<const double> a, std::span<const double> b) {

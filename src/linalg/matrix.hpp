@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <initializer_list>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -75,15 +74,6 @@ class Matrix {
     return {data_.data() + r * cols_, cols_};
   }
 
-  /// Copies column `c` into a fresh vector (columns are strided).
-  std::vector<double> col(std::size_t c) const;
-
-  /// Replaces row `r` with `values` (size must equal cols()).
-  void set_row(std::size_t r, std::span<const double> values);
-
-  /// Replaces column `c` with `values` (size must equal rows()).
-  void set_col(std::size_t c, std::span<const double> values);
-
   /// Appends one row (size must equal cols(), or define cols() if empty).
   void append_row(std::span<const double> values);
 
@@ -99,12 +89,8 @@ class Matrix {
   /// Matrix-vector product (vector length must equal cols()).
   std::vector<double> multiply(std::span<const double> v) const;
 
-  Matrix& operator+=(const Matrix& rhs);
-  Matrix& operator-=(const Matrix& rhs);
   Matrix& operator*=(double s);
 
-  friend Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }
-  friend Matrix operator-(Matrix lhs, const Matrix& rhs) { return lhs -= rhs; }
   friend Matrix operator*(Matrix lhs, double s) { return lhs *= s; }
   friend Matrix operator*(double s, Matrix rhs) { return rhs *= s; }
   friend Matrix operator*(const Matrix& lhs, const Matrix& rhs) {
@@ -122,9 +108,6 @@ class Matrix {
   /// Sub-matrix copy: rows [r0, r0+nr) x cols [c0, c0+nc).
   Matrix block(std::size_t r0, std::size_t c0, std::size_t nr,
                std::size_t nc) const;
-
-  /// Human-readable rendering, mainly for diagnostics and tests.
-  std::string to_string(int precision = 4) const;
 
  private:
   std::size_t rows_ = 0;

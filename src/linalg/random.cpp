@@ -92,25 +92,6 @@ double Rng::exponential(double rate) noexcept {
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
-std::uint64_t Rng::poisson(double mean_value) noexcept {
-  APPCLASS_EXPECTS(mean_value >= 0.0);
-  if (mean_value == 0.0) return 0;
-  if (mean_value < 30.0) {
-    // Knuth's multiplicative method.
-    const double limit = std::exp(-mean_value);
-    std::uint64_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= uniform();
-    } while (p > limit);
-    return k - 1;
-  }
-  // Normal approximation with continuity correction for large means.
-  const double x = normal(mean_value, std::sqrt(mean_value));
-  return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
-}
-
 double Rng::lognormal(double mu, double sigma) noexcept {
   return std::exp(normal(mu, sigma));
 }

@@ -51,10 +51,6 @@ class Rng {
   /// Bernoulli trial with probability p of returning true.
   bool bernoulli(double p) noexcept;
 
-  /// Poisson-distributed count (Knuth for small means, normal approximation
-  /// for large ones) — used for per-tick transaction counts.
-  std::uint64_t poisson(double mean) noexcept;
-
   /// Log-normal value whose *underlying normal* has the given mu/sigma.
   double lognormal(double mu, double sigma) noexcept;
 

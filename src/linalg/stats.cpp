@@ -20,14 +20,6 @@ double variance(std::span<const double> v) {
   return s / static_cast<double>(v.size());
 }
 
-double sample_variance(std::span<const double> v) {
-  APPCLASS_EXPECTS(v.size() >= 2);
-  const double m = mean(v);
-  double s = 0.0;
-  for (double x : v) s += (x - m) * (x - m);
-  return s / static_cast<double>(v.size() - 1);
-}
-
 double stddev(std::span<const double> v) { return std::sqrt(variance(v)); }
 
 ColumnStats column_stats(const Matrix& samples, double min_stddev) {

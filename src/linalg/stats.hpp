@@ -25,9 +25,6 @@ double mean(std::span<const double> v);
 /// Population variance of a single series (divides by N).
 double variance(std::span<const double> v);
 
-/// Sample variance of a single series (divides by N-1; N>=2 required).
-double sample_variance(std::span<const double> v);
-
 double stddev(std::span<const double> v);
 
 /// Computes per-column mean and stddev of `samples` (one observation per

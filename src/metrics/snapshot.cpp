@@ -21,22 +21,6 @@ SimTime DataPool::end_time() const {
   return snapshots_.back().time;
 }
 
-linalg::Matrix DataPool::to_metric_major() const {
-  linalg::Matrix a(kMetricCount, snapshots_.size());
-  for (std::size_t j = 0; j < snapshots_.size(); ++j)
-    for (std::size_t i = 0; i < kMetricCount; ++i)
-      a(i, j) = snapshots_[j].values[i];
-  return a;
-}
-
-linalg::Matrix DataPool::to_observation_major() const {
-  linalg::Matrix a(snapshots_.size(), kMetricCount);
-  for (std::size_t j = 0; j < snapshots_.size(); ++j)
-    for (std::size_t i = 0; i < kMetricCount; ++i)
-      a(j, i) = snapshots_[j].values[i];
-  return a;
-}
-
 linalg::Matrix DataPool::to_observation_major(
     std::span<const MetricId> selected) const {
   linalg::Matrix a(snapshots_.size(), selected.size());
@@ -44,13 +28,6 @@ linalg::Matrix DataPool::to_observation_major(
     for (std::size_t i = 0; i < selected.size(); ++i)
       a(j, i) = snapshots_[j].get(selected[i]);
   return a;
-}
-
-std::vector<double> DataPool::series(MetricId id) const {
-  std::vector<double> out;
-  out.reserve(snapshots_.size());
-  for (const auto& s : snapshots_) out.push_back(s.get(id));
-  return out;
 }
 
 std::string to_csv(const DataPool& pool) {

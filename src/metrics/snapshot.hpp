@@ -52,17 +52,9 @@ class DataPool {
   SimTime start_time() const;
   SimTime end_time() const;
 
-  /// The paper's A(n x m): one metric per row, one snapshot per column.
-  linalg::Matrix to_metric_major() const;
-
-  /// Observation-per-row matrix (m x n) — the learning code's orientation.
-  linalg::Matrix to_observation_major() const;
-
-  /// Observation-per-row matrix restricted to `selected` metrics (m x p).
+  /// Observation-per-row matrix restricted to `selected` metrics (m x p):
+  /// the learning code's orientation, the transpose of the paper's A(n x m).
   linalg::Matrix to_observation_major(std::span<const MetricId> selected) const;
-
-  /// Extracts one metric as a time series of values.
-  std::vector<double> series(MetricId id) const;
 
  private:
   std::string node_ip_;

@@ -36,10 +36,6 @@ Gmetad::Gmetad(MetricBus& bus, metrics::SimTime liveness_timeout_s)
 
 Gmetad::~Gmetad() { bus_.unsubscribe(subscription_); }
 
-void Gmetad::on_node_event(NodeEventCallback callback) {
-  node_event_callback_ = std::move(callback);
-}
-
 void Gmetad::on_announce(const metrics::Snapshot& snapshot) {
   GmetadMetrics& gm = gmetad_metrics();
   newest_time_ = std::max(newest_time_, snapshot.time);
@@ -54,9 +50,6 @@ void Gmetad::on_announce(const metrics::Snapshot& snapshot) {
     gm.recoveries.inc();
     APPCLASS_LOG_INFO("gmetad.node_recovery", {"node", snapshot.node_ip},
                       {"time", snapshot.time});
-    if (node_event_callback_)
-      node_event_callback_({snapshot.node_ip, snapshot.time,
-                            NodeEvent::Kind::kRecovery});
   }
 
   // Detect deaths exposed by this announcement advancing cluster time.
@@ -67,8 +60,6 @@ void Gmetad::on_announce(const metrics::Snapshot& snapshot) {
     APPCLASS_LOG_WARN("gmetad.node_death", {"node", ip},
                       {"last_seen", other.snapshot.time},
                       {"time", newest_time_});
-    if (node_event_callback_)
-      node_event_callback_({ip, newest_time_, NodeEvent::Kind::kDeath});
   }
 
   gm.announcements.inc();
@@ -80,20 +71,6 @@ bool Gmetad::alive(const metrics::Snapshot& snapshot) const {
 }
 
 std::size_t Gmetad::node_count() const { return nodes_.size(); }
-
-std::vector<std::string> Gmetad::live_nodes() const {
-  std::vector<std::string> out;
-  for (const auto& [ip, record] : nodes_)
-    if (alive(record.snapshot)) out.push_back(ip);
-  return out;
-}
-
-std::vector<std::string> Gmetad::dead_nodes() const {
-  std::vector<std::string> out;
-  for (const auto& [ip, record] : nodes_)
-    if (!alive(record.snapshot)) out.push_back(ip);
-  return out;
-}
 
 std::optional<metrics::Snapshot> Gmetad::latest(
     const std::string& node_ip) const {
@@ -130,20 +107,6 @@ std::optional<std::string> Gmetad::argmax(metrics::MetricId id) const {
     if (!alive(record.snapshot)) continue;
     const double v = record.snapshot.get(id);
     if (!best || v > best_value) {
-      best = ip;
-      best_value = v;
-    }
-  }
-  return best;
-}
-
-std::optional<std::string> Gmetad::argmin(metrics::MetricId id) const {
-  std::optional<std::string> best;
-  double best_value = 0.0;
-  for (const auto& [ip, record] : nodes_) {
-    if (!alive(record.snapshot)) continue;
-    const double v = record.snapshot.get(id);
-    if (!best || v < best_value) {
       best = ip;
       best_value = v;
     }

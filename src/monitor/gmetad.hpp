@@ -9,11 +9,9 @@
 // gone down — either way, stop scheduling onto it).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "metrics/snapshot.hpp"
 #include "monitor/bus.hpp"
@@ -29,21 +27,8 @@ struct MetricSummary {
   std::size_t nodes = 0;
 };
 
-/// A liveness transition observed by gmetad.
-struct NodeEvent {
-  enum class Kind { kDeath, kRecovery };
-
-  std::string node_ip;
-  /// Cluster time at which the transition was detected (for deaths, the
-  /// newest announcement time that exposed the silence).
-  metrics::SimTime time = 0;
-  Kind kind = Kind::kDeath;
-};
-
 class Gmetad {
  public:
-  using NodeEventCallback = std::function<void(const NodeEvent&)>;
-
   /// Nodes whose last announcement is older than `liveness_timeout_s` are
   /// considered dead and excluded from summaries.
   explicit Gmetad(MetricBus& bus, metrics::SimTime liveness_timeout_s = 60);
@@ -55,18 +40,6 @@ class Gmetad {
   /// Number of nodes ever seen.
   std::size_t node_count() const;
 
-  /// Node IPs currently considered alive (as of the newest announcement).
-  std::vector<std::string> live_nodes() const;
-
-  /// Node IPs currently considered dead (seen once, then silent beyond
-  /// the liveness timeout).
-  std::vector<std::string> dead_nodes() const;
-
-  /// Called on every detected death and recovery. Death is detected when
-  /// another node's announcement advances cluster time past the silent
-  /// node's timeout; recovery when the dead node announces again.
-  void on_node_event(NodeEventCallback callback);
-
   /// Freshest snapshot of a node, or nullopt if unseen.
   std::optional<metrics::Snapshot> latest(const std::string& node_ip) const;
 
@@ -74,10 +47,9 @@ class Gmetad {
   /// is alive).
   std::optional<MetricSummary> summary(metrics::MetricId id) const;
 
-  /// Convenience: the live node with the largest / smallest current value
-  /// of a metric (e.g. most idle CPU), or nullopt when none alive.
+  /// Convenience: the live node with the largest current value of a
+  /// metric (e.g. most idle CPU), or nullopt when none alive.
   std::optional<std::string> argmax(metrics::MetricId id) const;
-  std::optional<std::string> argmin(metrics::MetricId id) const;
 
  private:
   struct NodeRecord {
@@ -93,7 +65,6 @@ class Gmetad {
   SubscriptionId subscription_;
   metrics::SimTime newest_time_ = 0;
   std::map<std::string, NodeRecord> nodes_;
-  NodeEventCallback node_event_callback_;
 };
 
 }  // namespace appclass::monitor

@@ -15,11 +15,6 @@ const std::string& BoundedLabelSet::admit(std::string_view value) {
   return overflow_;
 }
 
-bool BoundedLabelSet::admitted(std::string_view value) const {
-  const std::lock_guard lock(mutex_);
-  return values_.find(value) != values_.end();
-}
-
 std::size_t BoundedLabelSet::size() const {
   const std::lock_guard lock(mutex_);
   return values_.size();

@@ -29,9 +29,6 @@ class BoundedLabelSet {
   /// for the set's lifetime. Thread-safe.
   const std::string& admit(std::string_view value);
 
-  /// True when `value` holds its own series (admitted, not overflow).
-  bool admitted(std::string_view value) const;
-
   /// Distinct values admitted so far (excluding the overflow bucket).
   std::size_t size() const;
 

@@ -202,12 +202,6 @@ bool DriftDetector::drifting(std::size_t component) const {
   return component < components_.size() && components_[component].drifting;
 }
 
-bool DriftDetector::any_drifting() const {
-  for (const auto& c : components_)
-    if (c.drifting) return true;
-  return false;
-}
-
 std::string DriftDetector::to_json() const {
   std::ostringstream out;
   out << "{\"reference_ready\":" << (reference_ready_ ? "true" : "false")

@@ -88,8 +88,6 @@ class DriftDetector {
   double max_score() const;
   /// True while `component` is in the drifting state.
   bool drifting(std::size_t component) const;
-  /// True while any component is in the drifting state.
-  bool any_drifting() const;
   /// Rising edges fired so far, across all components.
   std::uint64_t events() const noexcept { return events_; }
 

@@ -85,7 +85,7 @@ CheckpointData decode_checkpoint(const std::string& text) {
   in.expect_tag("online");
   data.online.classified = in.read_size();
   data.online.abstained = in.read_size();
-  const std::size_t node_count = in.read_size();
+  const std::size_t node_count = in.read_count("node");
   data.online.nodes.reserve(node_count);
   for (std::size_t i = 0; i < node_count; ++i) {
     in.expect_tag("node");
@@ -102,7 +102,7 @@ CheckpointData decode_checkpoint(const std::string& text) {
     }
     node.candidate = read_class(is, in);
     node.candidate_streak = in.read_size();
-    const std::size_t window = in.read_size();
+    const std::size_t window = in.read_count("window");
     node.window.reserve(window);
     for (std::size_t w = 0; w < window; ++w) {
       const metrics::SimTime time = in.read_int();
@@ -112,7 +112,7 @@ CheckpointData decode_checkpoint(const std::string& text) {
   }
 
   in.expect_tag("appdb");
-  const std::size_t appdb_bytes = in.read_size();
+  const std::size_t appdb_bytes = in.read_count("appdb byte");
   if (!std::getline(is, line)) in.fail("truncated appdb section");
   data.appdb_csv.resize(appdb_bytes);
   if (appdb_bytes > 0 &&

@@ -2,21 +2,16 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-
 namespace appclass::sched {
+namespace {
 
-PlacementAdvisor::PlacementAdvisor(const monitor::Gmetad& gmetad,
-                                   HeadroomNominals nominals)
-    : gmetad_(gmetad), nominals_(nominals) {
-  APPCLASS_EXPECTS(nominals_.vdisk_blocks_per_s > 0.0);
-  APPCLASS_EXPECTS(nominals_.vnic_bytes_per_s > 0.0);
-}
+// Nominal per-VM capacities (the simulated GSX guests' virtual devices).
+constexpr double kVdiskBlocksPerS = 11000.0;
+constexpr double kVnicBytesPerS = 72.0e6;
 
-double PlacementAdvisor::headroom(core::ApplicationClass cls,
-                                  const metrics::Snapshot& s) const {
+}  // namespace
+
+double headroom(core::ApplicationClass cls, const metrics::Snapshot& s) {
   using metrics::MetricId;
   const auto clamp01 = [](double x) { return std::clamp(x, 0.0, 1.0); };
   switch (cls) {
@@ -25,13 +20,13 @@ double PlacementAdvisor::headroom(core::ApplicationClass cls,
     case core::ApplicationClass::kIo: {
       const double used =
           (s.get(MetricId::kIoBi) + s.get(MetricId::kIoBo)) /
-          nominals_.vdisk_blocks_per_s;
+          kVdiskBlocksPerS;
       return clamp01(1.0 - used);
     }
     case core::ApplicationClass::kNetwork: {
       const double used =
           (s.get(MetricId::kBytesIn) + s.get(MetricId::kBytesOut)) /
-          nominals_.vnic_bytes_per_s;
+          kVnicBytesPerS;
       return clamp01(1.0 - used);
     }
     case core::ApplicationClass::kMemory: {
@@ -45,47 +40,6 @@ double PlacementAdvisor::headroom(core::ApplicationClass cls,
       return 1.0;  // an idle job is happy anywhere
   }
   return 0.0;
-}
-
-std::vector<std::pair<std::string, double>> PlacementAdvisor::ranking(
-    core::ApplicationClass cls,
-    std::span<const std::string> candidates) const {
-  std::vector<std::pair<std::string, double>> out;
-  for (const auto& ip : candidates) {
-    const auto snapshot = gmetad_.latest(ip);
-    if (!snapshot) continue;
-    out.emplace_back(ip, headroom(cls, *snapshot));
-  }
-  std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.second > b.second;
-  });
-  return out;
-}
-
-std::optional<std::string> PlacementAdvisor::recommend(
-    core::ApplicationClass cls,
-    std::span<const std::string> candidates) const {
-  // Each recommendation is one scheduling decision: a span (when tracing)
-  // carrying the job class and the chosen placement, and a per-class
-  // decision counter. The class label set is closed (the five paper
-  // classes), so labeling by name cannot explode cardinality.
-  obs::TraceSpan span("sched_advise");
-  obs::MetricsRegistry::global()
-      .counter("appclass_sched_advice_total",
-               {{"class", std::string(core::to_string(cls))}})
-      .inc();
-  const auto ranked = ranking(cls, candidates);
-  if (span.recording()) {
-    span.add_attr({"class", core::to_string(cls)});
-    span.add_attr({"candidates", candidates.size()});
-    span.add_attr({"ranked", ranked.size()});
-    if (!ranked.empty()) {
-      span.add_attr({"chosen", ranked.front().first});
-      span.add_attr({"headroom", ranked.front().second});
-    }
-  }
-  if (ranked.empty()) return std::nullopt;
-  return ranked.front().first;
 }
 
 }  // namespace appclass::sched

@@ -2,54 +2,21 @@
 //
 // Combines the two halves of the paper's pitch: the application's learned
 // behaviour class (from the classifier / application database) and the
-// cluster's live resource state (from gmetad). For an incoming job of a
-// known class, the advisor ranks candidate VMs by class-specific headroom
-// — idle CPU for CPU jobs, spare disk bandwidth for I/O jobs, spare NIC
-// bandwidth for network jobs, free memory for paging-prone jobs.
+// cluster's live resource state (a gmetad snapshot). For an incoming job
+// of a known class, headroom() scores a VM's class-specific slack — idle
+// CPU for CPU jobs, spare disk bandwidth for I/O jobs, spare NIC
+// bandwidth for network jobs, free memory for paging-prone jobs. The
+// class-aware dispatch policy (sched/queue.hpp) breaks ties with it.
 #pragma once
 
-#include <optional>
-#include <span>
-#include <string>
-#include <vector>
-
 #include "core/class_label.hpp"
-#include "monitor/gmetad.hpp"
+#include "metrics/snapshot.hpp"
 
 namespace appclass::sched {
 
-/// Nominal per-VM capacities used to normalize observed rates into [0, 1]
-/// headroom (match the simulated GSX guests' virtual devices).
-struct HeadroomNominals {
-  double vdisk_blocks_per_s = 11000.0;
-  double vnic_bytes_per_s = 72.0e6;
-};
-
-class PlacementAdvisor {
- public:
-  explicit PlacementAdvisor(const monitor::Gmetad& gmetad,
-                            HeadroomNominals nominals = {});
-
-  /// Headroom of one node for a class, in [0, 1] (1 = fully idle for that
-  /// resource dimension).
-  double headroom(core::ApplicationClass cls,
-                  const metrics::Snapshot& snapshot) const;
-
-  /// The candidate VM (by IP) with the most class-specific headroom;
-  /// nullopt when no candidate has a live snapshot. Ties break toward the
-  /// earlier candidate (deterministic).
-  std::optional<std::string> recommend(
-      core::ApplicationClass cls,
-      std::span<const std::string> candidates) const;
-
-  /// All candidates with their headroom, best first.
-  std::vector<std::pair<std::string, double>> ranking(
-      core::ApplicationClass cls,
-      std::span<const std::string> candidates) const;
-
- private:
-  const monitor::Gmetad& gmetad_;
-  HeadroomNominals nominals_;
-};
+/// Headroom of one node for a class, in [0, 1] (1 = fully idle for that
+/// resource dimension). Disk and NIC rates are normalized by the simulated
+/// GSX guests' virtual device capacities.
+double headroom(core::ApplicationClass cls, const metrics::Snapshot& snapshot);
 
 }  // namespace appclass::sched

@@ -35,18 +35,4 @@ std::optional<std::map<char, core::ApplicationClass>> classes_from_database(
   return out;
 }
 
-const WeightedSchedule& pick_random(
-    const std::vector<WeightedSchedule>& schedules, linalg::Rng& rng) {
-  APPCLASS_EXPECTS(!schedules.empty());
-  std::uint64_t total = 0;
-  for (const auto& ws : schedules) total += ws.multiplicity;
-  APPCLASS_EXPECTS(total > 0);
-  std::uint64_t x = rng.uniform_index(total);
-  for (const auto& ws : schedules) {
-    if (x < ws.multiplicity) return ws;
-    x -= ws.multiplicity;
-  }
-  return schedules.back();
-}
-
 }  // namespace appclass::sched

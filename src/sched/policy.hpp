@@ -1,5 +1,6 @@
-// Scheduling policies: class-aware (the paper's proposal) and random (the
-// baseline it beats by 22.11%).
+// The class-aware scheduling policy (the paper's proposal). The random
+// baseline it beats by 22.11% is the multiplicity-weighted average of all
+// schedules (sched/experiment.hpp).
 //
 // The class-aware policy consults learned application classes — from an
 // ApplicationDatabase of historical runs or an explicit map — and picks
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "core/appdb.hpp"
-#include "linalg/random.hpp"
 #include "sched/jobmix.hpp"
 
 namespace appclass::sched {
@@ -31,10 +31,5 @@ const WeightedSchedule& pick_class_aware(
 std::optional<std::map<char, core::ApplicationClass>> classes_from_database(
     const core::ApplicationDatabase& db,
     const std::map<char, std::string>& code_to_app, const std::string& config);
-
-/// Picks a schedule at random, weighted by assignment multiplicity —
-/// exactly what a class-blind scheduler assigning jobs uniformly does.
-const WeightedSchedule& pick_random(
-    const std::vector<WeightedSchedule>& schedules, linalg::Rng& rng);
 
 }  // namespace appclass::sched

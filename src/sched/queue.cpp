@@ -67,7 +67,6 @@ DispatchPolicy least_loaded_policy() {
 
 DispatchPolicy class_aware_policy() {
   return [](const DispatchContext& ctx) {
-    const PlacementAdvisor advisor(ctx.gmetad);
     const std::size_t cls = core::index_of(ctx.job.cls);
     std::size_t best = 0;
     int best_overlap = std::numeric_limits<int>::max();
@@ -81,7 +80,7 @@ DispatchPolicy class_aware_policy() {
           overlap += ctx.running_by_class[u][cls];
       double headroom = 0.5;  // neutral until the monitor has data
       if (const auto snapshot = ctx.gmetad.latest(ctx.vm_ips[v]))
-        headroom = advisor.headroom(ctx.job.cls, *snapshot);
+        headroom = sched::headroom(ctx.job.cls, *snapshot);
       // Least class overlap first (the dispatcher's own bookkeeping reacts
       // instantly); live headroom breaks ties.
       if (overlap < best_overlap ||

@@ -57,7 +57,7 @@ DispatchPolicy least_loaded_policy();
 
 /// Class-aware: avoids VMs already running jobs of the same class (the
 /// dispatcher's own bookkeeping beats the monitoring lag within a burst),
-/// breaking ties by live class-specific headroom (PlacementAdvisor).
+/// breaking ties by live class-specific headroom (sched::headroom).
 DispatchPolicy class_aware_policy();
 
 /// Outcome of one dispatched job.

@@ -18,6 +18,9 @@ constexpr double kPagingCpuPerKb = 2e-5;
 // Relative speed of disk-bound file I/O versus page-cache-hit I/O.
 constexpr double kDiskSpeedFactor = 0.25;
 
+// Checkpoint transfer bandwidth used by migrate(), bytes/second.
+constexpr double kMigrationBytesPerS = 20.0e6;
+
 }  // namespace
 
 Engine::Engine(std::uint64_t seed) : seed_(seed) {}
@@ -85,11 +88,6 @@ InstanceInfo Engine::instance(InstanceId id) const {
   return instances_[id]->info;
 }
 
-void Engine::set_migration_bandwidth(double bytes_per_s) {
-  APPCLASS_EXPECTS(bytes_per_s > 0.0);
-  migration_bytes_per_s_ = bytes_per_s;
-}
-
 SimTime Engine::migrate(InstanceId id, VmId to) {
   APPCLASS_EXPECTS(id < instances_.size());
   APPCLASS_EXPECTS(to < vms_.size());
@@ -102,7 +100,7 @@ SimTime Engine::migrate(InstanceId id, VmId to) {
   const double checkpoint_bytes =
       std::max(1.0, mem.working_set_mb) * 1024.0 * 1024.0;
   const auto downtime = static_cast<SimTime>(
-      std::max(1.0, std::ceil(checkpoint_bytes / migration_bytes_per_s_)));
+      std::max(1.0, std::ceil(checkpoint_bytes / kMigrationBytesPerS)));
 
   // The checkpoint stream shows up as network traffic on both endpoints,
   // amortized over one tick's announcement (coarse but visible to the

@@ -76,15 +76,12 @@ class Engine {
 
   /// Migrates a running instance to another VM (process checkpoint and
   /// restart, Condor-style). The instance pauses for a downtime
-  /// proportional to its resident working set over the configured transfer
-  /// bandwidth (minimum 1 s), during which it consumes nothing and makes
+  /// proportional to its resident working set over a 20 MB/s transfer
+  /// (minimum 1 s), during which it consumes nothing and makes
   /// no progress; the checkpoint transfer itself appears as network
   /// traffic on both VMs. No-op if the instance is not running or already
   /// on `to`. Returns the downtime in seconds (0 for the no-op case).
   SimTime migrate(InstanceId id, VmId to);
-
-  /// Checkpoint transfer bandwidth used by migrate(), bytes/second.
-  void set_migration_bandwidth(double bytes_per_s);
 
   /// Advances the simulation by one second.
   void step();
@@ -138,7 +135,6 @@ class Engine {
 
   std::uint64_t seed_;
   SimTime now_ = 0;
-  double migration_bytes_per_s_ = 20.0e6;
   std::vector<Resource> resources_;
   std::vector<Host> hosts_;
   std::vector<std::unique_ptr<Vm>> vms_;

@@ -4,39 +4,21 @@
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "linalg/stats.hpp"
 
 namespace appclass::trace {
 
-TimeSeries downsample(const TimeSeries& s, std::size_t factor) {
-  APPCLASS_EXPECTS(factor >= 1);
-  if (factor == 1) return s;
-  TimeSeries out;
-  out.start_time = s.start_time;
-  out.interval = s.interval * static_cast<std::int64_t>(factor);
-  out.values.reserve((s.size() + factor - 1) / factor);
-  for (std::size_t i = 0; i < s.size(); i += factor) {
-    const std::size_t end = std::min(i + factor, s.size());
-    double sum = 0.0;
-    for (std::size_t j = i; j < end; ++j) sum += s.values[j];
-    out.values.push_back(sum / static_cast<double>(end - i));
-  }
-  return out;
-}
+namespace {
 
-TimeSeries moving_average(const TimeSeries& s, std::size_t w) {
-  APPCLASS_EXPECTS(w >= 1 && w % 2 == 1);
-  TimeSeries out = s;
-  const std::size_t half = w / 2;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const std::size_t lo = i >= half ? i - half : 0;
-    const std::size_t hi = std::min(i + half + 1, s.size());
-    double sum = 0.0;
-    for (std::size_t j = lo; j < hi; ++j) sum += s.values[j];
-    out.values[i] = sum / static_cast<double>(hi - lo);
-  }
-  return out;
-}
+/// Summary of one window of a series.
+struct WindowSummary {
+  std::size_t begin = 0;  ///< first sample index (inclusive)
+  std::size_t end = 0;    ///< one-past-last sample index
+  linalg::RunningStats stats;
+};
 
+/// Splits `s` into consecutive windows of `window` samples (last window may
+/// be shorter) and summarizes each.
 std::vector<WindowSummary> windowed_summaries(const TimeSeries& s,
                                               std::size_t window) {
   APPCLASS_EXPECTS(window >= 1);
@@ -50,6 +32,8 @@ std::vector<WindowSummary> windowed_summaries(const TimeSeries& s,
   }
   return out;
 }
+
+}  // namespace
 
 std::vector<std::size_t> change_points(const TimeSeries& s, std::size_t window,
                                        double threshold) {

@@ -1,16 +1,15 @@
 // Time-series utilities over sampled metric values.
 //
-// The classifier itself treats snapshots as i.i.d. points, but the
-// post-processing layer (statistical abstracts, multi-stage segmentation,
-// sampling-interval ablations) needs ordered-in-time views: resampling,
-// sliding windows, smoothing, and change-point detection.
+// The classifier itself treats snapshots as i.i.d. points, but
+// multi-stage segmentation (paper section 7) needs an ordered-in-time
+// view: change-point detection and the segments it induces.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
-
-#include "linalg/stats.hpp"
 
 namespace appclass::trace {
 
@@ -27,27 +26,6 @@ struct TimeSeries {
     return start_time + static_cast<std::int64_t>(i) * interval;
   }
 };
-
-/// Downsamples `s` by an integer factor, averaging each block of `factor`
-/// consecutive samples (rate metrics stay rates). A trailing partial block
-/// is averaged over its actual length.
-TimeSeries downsample(const TimeSeries& s, std::size_t factor);
-
-/// Simple moving average with a centered window of odd width `w`.
-/// Edges use the available one-sided samples.
-TimeSeries moving_average(const TimeSeries& s, std::size_t w);
-
-/// Summary of one window of a series.
-struct WindowSummary {
-  std::size_t begin = 0;  ///< first sample index (inclusive)
-  std::size_t end = 0;    ///< one-past-last sample index
-  linalg::RunningStats stats;
-};
-
-/// Splits `s` into consecutive windows of `window` samples (last window may
-/// be shorter) and summarizes each.
-std::vector<WindowSummary> windowed_summaries(const TimeSeries& s,
-                                              std::size_t window);
 
 /// Detects change points in a series by comparing means of adjacent windows:
 /// a boundary between windows i and i+1 is a change point when the absolute

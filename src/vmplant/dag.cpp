@@ -56,30 +56,6 @@ bool ConfigDag::valid() const {
   return actions_.empty() || !topological_order().empty();
 }
 
-double ConfigDag::total_duration_s() const {
-  double total = 0.0;
-  for (const auto& a : actions_) total += a.duration_s;
-  return total;
-}
-
-double ConfigDag::critical_path_s() const {
-  const auto order = topological_order();
-  if (order.empty()) return actions_.empty() ? 0.0 : -1.0;
-  std::vector<std::vector<ActionId>> in_edges(actions_.size());
-  for (const auto& [before, after] : edges_)
-    in_edges[after].push_back(before);
-  std::vector<double> finish(actions_.size(), 0.0);
-  double best = 0.0;
-  for (const ActionId id : order) {
-    double start = 0.0;
-    for (const ActionId dep : in_edges[id])
-      start = std::max(start, finish[dep]);
-    finish[id] = start + actions_[id].duration_s;
-    best = std::max(best, finish[id]);
-  }
-  return best;
-}
-
 double ConfigDag::total_ram_delta_mb() const {
   double total = 0.0;
   for (const auto& a : actions_) total += a.ram_delta_mb;
@@ -102,10 +78,6 @@ std::uint64_t ConfigDag::prefix_key(std::size_t prefix_len) const {
     }
   }
   return key;
-}
-
-std::uint64_t ConfigDag::sequence_key() const {
-  return prefix_key(topological_order().size());
 }
 
 }  // namespace appclass::vmplant

@@ -46,21 +46,12 @@ class ConfigDag {
   /// insertion id). Empty when the graph is cyclic or empty.
   std::vector<ActionId> topological_order() const;
 
-  /// Sum of all action durations (provisioning applies sequentially).
-  double total_duration_s() const;
-
-  /// Length of the longest dependency chain, in seconds — the lower bound
-  /// if actions could be applied concurrently.
-  double critical_path_s() const;
-
   /// Net memory configuration change of the whole DAG.
   double total_ram_delta_mb() const;
 
-  /// Stable content key of the ordered action sequence; two DAGs with the
-  /// same key provision identically (used by the clone cache).
-  std::uint64_t sequence_key() const;
-
-  /// Key of the first `prefix_len` actions in topological order.
+  /// Stable content key of the first `prefix_len` actions in topological
+  /// order; two DAGs with the same full-length key provision identically
+  /// (the clone cache matches on prefixes).
   std::uint64_t prefix_key(std::size_t prefix_len) const;
 
  private:

@@ -14,10 +14,6 @@ void VmPlant::register_image(GoldenImage image) {
   images_.emplace(image.name, std::move(image));
 }
 
-bool VmPlant::has_image(const std::string& name) const {
-  return images_.contains(name);
-}
-
 CloneResult VmPlant::provision(const CloneRequest& request) {
   const auto image_it = images_.find(request.image);
   APPCLASS_EXPECTS(image_it != images_.end());

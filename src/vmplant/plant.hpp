@@ -46,7 +46,6 @@ class VmPlant {
   /// Registers a golden image; names must be unique.
   void register_image(GoldenImage image);
 
-  bool has_image(const std::string& name) const;
   std::size_t image_count() const noexcept { return images_.size(); }
 
   /// Provisions a VM: applies the request's DAG to the image, reusing the

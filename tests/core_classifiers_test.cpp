@@ -38,11 +38,12 @@ TEST(NearestCentroid, CentroidsAreClassMeans) {
                                           ApplicationClass::kIo};
   NearestCentroidClassifier nc;
   nc.train(points, labels);
-  EXPECT_TRUE(nc.has_class(ApplicationClass::kCpu));
-  EXPECT_FALSE(nc.has_class(ApplicationClass::kIdle));
-  const auto c = nc.centroid(ApplicationClass::kCpu);
-  EXPECT_DOUBLE_EQ(c[0], 1.0);
-  EXPECT_DOUBLE_EQ(c[1], 1.0);
+  // Centroids (1, 1) and (10, 10) put the decision boundary at x + y = 11;
+  // the nearest training point alone would put it at x + y = 12.
+  EXPECT_EQ(nc.classify(std::vector<double>{5.4, 5.4}),
+            ApplicationClass::kCpu);
+  EXPECT_EQ(nc.classify(std::vector<double>{5.6, 5.6}),
+            ApplicationClass::kIo);
 }
 
 TEST(NearestCentroid, ClassifiesBlobs) {

@@ -60,24 +60,6 @@ TEST(CostModel, RunCostScalesWithElapsedTime) {
   EXPECT_DOUBLE_EQ(model.run_cost(run), 2.0 * 488.0);
 }
 
-TEST(CostModel, ExpectedCostUsesProfileMeans) {
-  ApplicationDatabase db;
-  for (std::int64_t t : {100, 300}) {
-    RunRecord run;
-    run.application = "a";
-    run.config = "c";
-    run.composition = composition_of({ApplicationClass::kNetwork});
-    run.application_class = ApplicationClass::kNetwork;
-    run.elapsed_seconds = t;
-    run.samples = 10;
-    db.record(run);
-  }
-  const auto profile = db.profile("a", "c");
-  ASSERT_TRUE(profile.has_value());
-  const CostModel model(UnitCosts{.network = 3.0});
-  EXPECT_DOUBLE_EQ(model.expected_cost(*profile), 3.0 * 200.0);
-}
-
 TEST(CostModel, ProviderPricingDifferentiatesApps) {
   // An I/O-heavy provider charges more for disk time; the same two runs
   // price differently under different schemes.

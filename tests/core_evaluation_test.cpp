@@ -53,14 +53,6 @@ TEST(ConfusionMatrix, MergeAddsCounts) {
   EXPECT_DOUBLE_EQ(a.accuracy(), 0.5);
 }
 
-TEST(ConfusionMatrix, ToStringContainsClassNames) {
-  ConfusionMatrix cm;
-  cm.add(ApplicationClass::kMemory, ApplicationClass::kMemory);
-  const std::string s = cm.to_string();
-  EXPECT_NE(s.find("memory"), std::string::npos);
-  EXPECT_NE(s.find("network"), std::string::npos);
-}
-
 TEST(Evaluation, FlattenPreservesCountsAndLabels) {
   const auto pools = testing::synthetic_training(10);
   const auto flat = flatten(pools);

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "common/fs.hpp"
 #include "core_test_util.hpp"
 
 namespace appclass::core {
@@ -176,6 +177,27 @@ TEST(Serialize, RejectsBadKnnHeaderAsParseError) {
             "pipeline deserialization: unknown distance metric 'manhattan'");
   EXPECT_EQ(load_error(v1_model_with_knn_line("knn 3 1 cosine")),
             "pipeline deserialization: unknown distance metric 'cosine'");
+}
+
+TEST(Serialize, RejectsLyingKnnCountAsParseError) {
+  // A training-set size the rest of the file cannot hold is refused before
+  // the loader sizes the point matrix by it.
+  EXPECT_EQ(load_error(v1_model_with_knn_line(
+                "knn 9000000000000000000 3 euclidean")),
+            "pipeline deserialization: training point count "
+            "9000000000000000000 exceeds the input");
+  // A sealed v2 file is held to the same bound.
+  std::string text = save_pipeline(trained());
+  text.erase(text.rfind("checksum "));
+  const std::size_t at = text.find("\nknn ") + 1;
+  text.replace(at, text.find(' ', at + 4) - at, "knn 9000000000000000000");
+  common::seal_checksummed(text);
+  EXPECT_EQ(load_error(text),
+            "pipeline deserialization: training point count "
+            "9000000000000000000 exceeds the input");
+  // A small lie still reads past the end of the training set.
+  EXPECT_EQ(load_error(v1_model_with_knn_line("knn 4 1 euclidean")),
+            "pipeline deserialization: truncated training set");
 }
 
 TEST(Serialize, RejectsUnknownClassLabel) {

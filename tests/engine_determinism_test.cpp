@@ -73,8 +73,12 @@ TEST(EngineDeterminism, BatchClassifierMatchesPerPoolSerialCalls) {
   std::vector<metrics::DataPool> pools;
   for (const auto& lp : canonical_pools()) pools.push_back(lp.pool);
 
-  const engine::BatchClassifier batch(pooled);
-  const auto results = batch.classify_pools(pools);
+  // One task per pool on the pipeline's context; each classify() shards
+  // further on the same context.
+  std::vector<core::ClassificationResult> results(pools.size());
+  pooled.context()->for_each(pools.size(), [&](std::size_t p) {
+    results[p] = pooled.classify(pools[p]);
+  });
   ASSERT_EQ(results.size(), pools.size());
   for (std::size_t p = 0; p < pools.size(); ++p)
     expect_identical(serial.classify(pools[p]), results[p]);

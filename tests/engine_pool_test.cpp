@@ -204,11 +204,18 @@ TEST(EngineFleet, ConcurrentBatchClassifiersShareOnePipeline) {
   for (const auto& lp : pools) inputs.push_back(lp.pool);
 
   // Two threads running fleet batches against the same pipeline and the
-  // same execution context at once.
-  const engine::BatchClassifier batch(pipeline);
+  // same execution context at once: one task per pool, each classify()
+  // sharding further on that context.
+  const auto batch = [&] {
+    std::vector<core::ClassificationResult> results(inputs.size());
+    pipeline.context()->for_each(inputs.size(), [&](std::size_t p) {
+      results[p] = pipeline.classify(inputs[p]);
+    });
+    return results;
+  };
   std::vector<core::ClassificationResult> a, b;
-  std::thread other([&] { a = batch.classify_pools(inputs); });
-  b = batch.classify_pools(inputs);
+  std::thread other([&] { a = batch(); });
+  b = batch();
   other.join();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {

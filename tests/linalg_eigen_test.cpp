@@ -115,8 +115,9 @@ TEST_P(EigenProperty, EigenpairsSatisfyDefinition) {
   const std::size_t n = GetParam();
   const Matrix a = random_symmetric(n, 300 + n);
   const auto eig = symmetric_eigen(a);
+  const Matrix columns = eig.eigenvectors.transposed();
   for (std::size_t j = 0; j < n; ++j) {
-    const std::vector<double> v = eig.eigenvectors.col(j);
+    const std::span<const double> v = columns.row(j);
     const std::vector<double> av = a.multiply(v);
     for (std::size_t i = 0; i < n; ++i)
       EXPECT_NEAR(av[i], eig.eigenvalues[j] * v[i], 1e-8);

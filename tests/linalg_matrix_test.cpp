@@ -49,23 +49,6 @@ TEST(Matrix, RowSpanAliasesStorage) {
   EXPECT_DOUBLE_EQ(m.at(1, 2), 42.0);
 }
 
-TEST(Matrix, ColCopiesStridedColumn) {
-  const Matrix m{{1, 2}, {3, 4}, {5, 6}};
-  const std::vector<double> c = m.col(1);
-  EXPECT_EQ(c, (std::vector<double>{2, 4, 6}));
-}
-
-TEST(Matrix, SetRowAndSetCol) {
-  Matrix m(2, 2, 0.0);
-  const std::vector<double> r = {1, 2};
-  const std::vector<double> c = {3, 4};
-  m.set_row(0, r);
-  m.set_col(1, c);
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(m.at(0, 1), 3.0);  // set_col overwrote
-  EXPECT_DOUBLE_EQ(m.at(1, 1), 4.0);
-}
-
 TEST(Matrix, AppendRowGrowsAndDefinesShape) {
   Matrix m;
   const std::vector<double> r0 = {1, 2, 3};
@@ -125,11 +108,8 @@ TEST(Matrix, MatrixVectorProduct) {
   EXPECT_DOUBLE_EQ(out[1], 39.0);
 }
 
-TEST(Matrix, AdditionSubtractionScaling) {
+TEST(Matrix, Scaling) {
   const Matrix a{{1, 2}, {3, 4}};
-  const Matrix b{{4, 3}, {2, 1}};
-  EXPECT_EQ(a + b, Matrix(2, 2, 5.0));
-  EXPECT_EQ((a + b) - b, a);
   EXPECT_EQ(a * 2.0, (Matrix{{2, 4}, {6, 8}}));
   EXPECT_EQ(2.0 * a, a * 2.0);
 }
@@ -151,11 +131,6 @@ TEST(Matrix, BlockExtractsSubmatrix) {
   const Matrix m{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}};
   const Matrix b = m.block(1, 1, 2, 2);
   EXPECT_EQ(b, (Matrix{{5, 6}, {8, 9}}));
-}
-
-TEST(Matrix, ToStringMentionsValues) {
-  const Matrix m{{1.5}};
-  EXPECT_NE(m.to_string().find("1.5"), std::string::npos);
 }
 
 TEST(VectorOps, EuclideanDistance) {

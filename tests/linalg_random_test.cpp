@@ -103,29 +103,6 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, PoissonSmallMean) {
-  Rng rng(15);
-  const int n = 100000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i)
-    sum += static_cast<double>(rng.poisson(3.5));
-  EXPECT_NEAR(sum / n, 3.5, 0.1);
-}
-
-TEST(Rng, PoissonLargeMeanUsesNormalApprox) {
-  Rng rng(16);
-  const int n = 20000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i)
-    sum += static_cast<double>(rng.poisson(200.0));
-  EXPECT_NEAR(sum / n, 200.0, 2.0);
-}
-
-TEST(Rng, PoissonZeroMeanIsZero) {
-  Rng rng(17);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
-}
-
 TEST(Rng, LognormalMedianNearExpMu) {
   Rng rng(18);
   std::vector<double> xs(50001);

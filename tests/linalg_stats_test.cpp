@@ -25,12 +25,6 @@ TEST(Stats, PopulationVariance) {
   EXPECT_DOUBLE_EQ(stddev(v), 2.0);
 }
 
-TEST(Stats, SampleVarianceUsesNMinusOne) {
-  const std::vector<double> v = {1, 3};
-  EXPECT_DOUBLE_EQ(sample_variance(v), 2.0);
-  EXPECT_DOUBLE_EQ(variance(v), 1.0);
-}
-
 TEST(Stats, ColumnStatsPerColumn) {
   const Matrix m{{1, 10}, {3, 10}};
   const ColumnStats cs = column_stats(m);

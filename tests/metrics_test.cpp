@@ -77,18 +77,6 @@ TEST(DataPool, AddAndAccess) {
   EXPECT_EQ(pool.end_time(), 5);
 }
 
-TEST(DataPool, OrientationsAreTransposes) {
-  DataPool pool;
-  pool.add(make_snapshot(0, "n", 0.0));
-  pool.add(make_snapshot(5, "n", 100.0));
-  const auto metric_major = pool.to_metric_major();       // n x m
-  const auto obs_major = pool.to_observation_major();     // m x n
-  EXPECT_EQ(metric_major.rows(), kMetricCount);
-  EXPECT_EQ(metric_major.cols(), 2u);
-  EXPECT_EQ(obs_major.rows(), 2u);
-  EXPECT_LT(metric_major.max_abs_diff(obs_major.transposed()), 1e-15);
-}
-
 TEST(DataPool, SelectedMetricExtraction) {
   DataPool pool;
   pool.add(make_snapshot(0, "n", 10.0));
@@ -98,15 +86,6 @@ TEST(DataPool, SelectedMetricExtraction) {
   EXPECT_EQ(m.cols(), 2u);
   EXPECT_DOUBLE_EQ(m.at(0, 0), 10.0 + index_of(MetricId::kCpuUser));
   EXPECT_DOUBLE_EQ(m.at(0, 1), 10.0 + index_of(MetricId::kIoBi));
-}
-
-TEST(DataPool, SeriesExtractsOneMetricOverTime) {
-  DataPool pool;
-  pool.add(make_snapshot(0, "n", 1.0));
-  pool.add(make_snapshot(5, "n", 2.0));
-  const auto s = pool.series(MetricId::kCpuUser);
-  ASSERT_EQ(s.size(), 2u);
-  EXPECT_DOUBLE_EQ(s[1] - s[0], 1.0);
 }
 
 TEST(DataPoolCsv, RoundTripsExactly) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "monitor/harness.hpp"
+#include "obs/metrics.hpp"
 #include "sim/testbed.hpp"
 #include "workloads/catalog.hpp"
 
@@ -17,6 +18,24 @@ metrics::Snapshot node_snapshot(const std::string& ip, metrics::SimTime t,
   s.set(metrics::MetricId::kCpuIdle, cpu_idle);
   s.set(metrics::MetricId::kIoBi, io);
   return s;
+}
+
+// Liveness transitions are observable as the process-wide counters.
+std::uint64_t node_deaths() {
+  return obs::MetricsRegistry::global()
+      .counter("appclass_gmetad_node_deaths_total")
+      .value();
+}
+
+std::uint64_t node_recoveries() {
+  return obs::MetricsRegistry::global()
+      .counter("appclass_gmetad_node_recoveries_total")
+      .value();
+}
+
+std::size_t live_count(const Gmetad& gmetad) {
+  const auto sum = gmetad.summary(metrics::MetricId::kCpuIdle);
+  return sum ? sum->nodes : 0;
 }
 
 TEST(Gmetad, TracksLatestPerNode) {
@@ -51,11 +70,11 @@ TEST(Gmetad, StaleNodesExcluded) {
   Gmetad gmetad(bus, /*liveness_timeout_s=*/30);
   bus.announce(node_snapshot("old", 0, 50.0));
   bus.announce(node_snapshot("fresh", 100, 80.0));
-  const auto live = gmetad.live_nodes();
-  ASSERT_EQ(live.size(), 1u);
-  EXPECT_EQ(live[0], "fresh");
   const auto sum = gmetad.summary(metrics::MetricId::kCpuIdle);
+  ASSERT_TRUE(sum.has_value());
   EXPECT_EQ(sum->nodes, 1u);
+  EXPECT_DOUBLE_EQ(sum->sum, 80.0);
+  EXPECT_EQ(gmetad.argmax(metrics::MetricId::kCpuIdle), "fresh");
   // The stale node's latest snapshot is still retrievable.
   EXPECT_TRUE(gmetad.latest("old").has_value());
 }
@@ -65,50 +84,44 @@ TEST(Gmetad, StaleNodeRevives) {
   Gmetad gmetad(bus, 30);
   bus.announce(node_snapshot("a", 0, 50.0));
   bus.announce(node_snapshot("b", 100, 80.0));
-  EXPECT_EQ(gmetad.live_nodes().size(), 1u);
+  EXPECT_EQ(live_count(gmetad), 1u);
   bus.announce(node_snapshot("a", 101, 55.0));
-  EXPECT_EQ(gmetad.live_nodes().size(), 2u);
+  EXPECT_EQ(live_count(gmetad), 2u);
 }
 
 TEST(Gmetad, EmitsDeathEventWhenNodeGoesSilent) {
   MetricBus bus;
   Gmetad gmetad(bus, /*liveness_timeout_s=*/30);
-  std::vector<NodeEvent> events;
-  gmetad.on_node_event([&](const NodeEvent& e) { events.push_back(e); });
+  const std::uint64_t deaths = node_deaths();
 
   bus.announce(node_snapshot("quiet", 0, 50.0));
   bus.announce(node_snapshot("chatty", 10, 80.0));
-  EXPECT_TRUE(events.empty());  // both inside the liveness window
+  EXPECT_EQ(node_deaths(), deaths);  // both inside the liveness window
 
   // Cluster time advances past quiet's timeout via chatty's announcement.
   bus.announce(node_snapshot("chatty", 100, 80.0));
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].node_ip, "quiet");
-  EXPECT_EQ(events[0].kind, NodeEvent::Kind::kDeath);
-  EXPECT_EQ(events[0].time, 100);
-  const auto dead = gmetad.dead_nodes();
-  ASSERT_EQ(dead.size(), 1u);
-  EXPECT_EQ(dead[0], "quiet");
+  EXPECT_EQ(node_deaths(), deaths + 1);
+  EXPECT_EQ(live_count(gmetad), 1u);
+  EXPECT_EQ(gmetad.argmax(metrics::MetricId::kCpuIdle), "chatty");
   // Death is edge-triggered: further announcements do not repeat it.
   bus.announce(node_snapshot("chatty", 110, 80.0));
-  EXPECT_EQ(events.size(), 1u);
+  EXPECT_EQ(node_deaths(), deaths + 1);
 }
 
 TEST(Gmetad, EmitsRecoveryEventWhenNodeReturns) {
   MetricBus bus;
   Gmetad gmetad(bus, 30);
-  std::vector<NodeEvent> events;
-  gmetad.on_node_event([&](const NodeEvent& e) { events.push_back(e); });
+  const std::uint64_t deaths = node_deaths();
+  const std::uint64_t recoveries = node_recoveries();
 
   bus.announce(node_snapshot("a", 0, 50.0));
   bus.announce(node_snapshot("b", 100, 80.0));  // a declared dead
+  EXPECT_EQ(node_deaths(), deaths + 1);
+  EXPECT_EQ(node_recoveries(), recoveries);
   bus.announce(node_snapshot("a", 120, 55.0));  // a recovers
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[1].node_ip, "a");
-  EXPECT_EQ(events[1].kind, NodeEvent::Kind::kRecovery);
-  EXPECT_EQ(events[1].time, 120);
-  EXPECT_TRUE(gmetad.dead_nodes().empty());
-  EXPECT_EQ(gmetad.live_nodes().size(), 2u);
+  EXPECT_EQ(node_recoveries(), recoveries + 1);
+  EXPECT_EQ(node_deaths(), deaths + 1);
+  EXPECT_EQ(live_count(gmetad), 2u);
 }
 
 TEST(Gmetad, ArgmaxArgmin) {
@@ -117,7 +130,6 @@ TEST(Gmetad, ArgmaxArgmin) {
   bus.announce(node_snapshot("busy", 0, 5.0, 9000.0));
   bus.announce(node_snapshot("calm", 0, 95.0, 100.0));
   EXPECT_EQ(gmetad.argmax(metrics::MetricId::kCpuIdle), "calm");
-  EXPECT_EQ(gmetad.argmin(metrics::MetricId::kIoBi), "calm");
   EXPECT_EQ(gmetad.argmax(metrics::MetricId::kIoBi), "busy");
 }
 
@@ -137,9 +149,9 @@ TEST(Gmetad, IntegratesWithSimulatedCluster) {
   tb.engine->submit(tb.vm1, workloads::make_ch3d(200.0));
   tb.engine->run_for(60);
   EXPECT_EQ(gmetad.node_count(), 4u);
-  EXPECT_EQ(gmetad.live_nodes().size(), 4u);
-  // VM1 runs the CPU hog: it has the least idle CPU on the subnet.
-  EXPECT_EQ(gmetad.argmin(metrics::MetricId::kCpuIdle), "10.0.0.1");
+  EXPECT_EQ(live_count(gmetad), 4u);
+  // VM1 runs the CPU hog: it has the busiest CPU on the subnet.
+  EXPECT_EQ(gmetad.argmax(metrics::MetricId::kCpuUser), "10.0.0.1");
 }
 
 }  // namespace

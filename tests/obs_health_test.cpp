@@ -98,7 +98,7 @@ TEST(DriftDetector, StationaryStreamStaysSilent) {
   feed(detector, rng, 600, 0.0, 0.0);
   EXPECT_TRUE(detector.reference_ready());
   EXPECT_EQ(detector.events(), 0u);
-  EXPECT_FALSE(detector.any_drifting());
+  EXPECT_FALSE(detector.drifting(0) || detector.drifting(1));
   EXPECT_LT(detector.max_score(), detector.options().fire_threshold);
 }
 
@@ -131,7 +131,7 @@ TEST(DriftDetector, PhaseChangeFiresOnceAndClearsWithHysteresis) {
 
   // Back to the reference distribution: the state clears...
   feed(detector, rng, 400, 0.0, 0.0);
-  EXPECT_FALSE(detector.any_drifting());
+  EXPECT_FALSE(detector.drifting(0) || detector.drifting(1));
   // ...and a second excursion fires a second event (rising edge again).
   feed(detector, rng, 200, 6.0, 0.0);
   EXPECT_EQ(detector.events(), 2u);

@@ -12,6 +12,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/fs.hpp"
+
 namespace appclass::persist {
 namespace {
 
@@ -50,6 +52,19 @@ void expect_equal(const CheckpointData& x, const CheckpointData& y) {
   // strongest practical "every field survived" check.
   EXPECT_EQ(encode_checkpoint(x), encode_checkpoint(y));
 }
+
+// A checkpoint whose checksum is valid but whose line starting with
+// `prefix` now reads `line`: the footer proves integrity, not honesty.
+std::string resealed_with_line(std::string text, const std::string& prefix,
+                               const std::string& line) {
+  text.erase(text.rfind(common::kChecksumTag));
+  const std::size_t at = text.find("\n" + prefix) + 1;
+  text.replace(at, text.find('\n', at) - at, line);
+  common::seal_checksummed(text);
+  return text;
+}
+
+constexpr const char* kHugeCount = "9000000000000000000";
 
 class CheckpointDirTest : public ::testing::Test {
  protected:
@@ -106,6 +121,33 @@ TEST(Checkpoint, EmptyAndForeignFilesAreRejected) {
                std::runtime_error);
 }
 
+TEST(Checkpoint, SealedLyingCountsAreParseErrors) {
+  const std::string good = encode_checkpoint(sample());
+  const auto error_of = [](const std::string& text) -> std::string {
+    try {
+      decode_checkpoint(text);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "decoded";
+  };
+  EXPECT_EQ(error_of(resealed_with_line(good, "online ",
+                                        std::string("online 77 3 ") +
+                                            kHugeCount)),
+            std::string("checkpoint deserialization: node count ") +
+                kHugeCount + " exceeds the input");
+  EXPECT_EQ(error_of(resealed_with_line(
+                good, "node 10.0.0.1 ",
+                std::string("node 10.0.0.1 0 0.875 cpu io 1 ") + kHugeCount +
+                    " 0 cpu")),
+            std::string("checkpoint deserialization: window count ") +
+                kHugeCount + " exceeds the input");
+  EXPECT_EQ(error_of(resealed_with_line(good, "appdb ",
+                                        std::string("appdb ") + kHugeCount)),
+            std::string("checkpoint deserialization: appdb byte count ") +
+                kHugeCount + " exceeds the input");
+}
+
 TEST_F(CheckpointDirTest, WriteLoadRoundTrip) {
   const std::string path = write_checkpoint(dir_, sample());
   EXPECT_NE(path.find("checkpoint-"), std::string::npos);
@@ -143,6 +185,24 @@ TEST_F(CheckpointDirTest, CorruptNewestFallsBackToOlder) {
                    std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(40);
     f.put('#');
+  }
+  const auto loaded = load_latest_checkpoint(dir_);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->data.wal_next, 10u);
+  EXPECT_EQ(loaded->corrupt_skipped, 1u);
+}
+
+TEST_F(CheckpointDirTest, SealedLyingCountIsCorruptAndOlderLoads) {
+  CheckpointData data = sample();
+  data.wal_next = 10;
+  write_checkpoint(dir_, data);
+  data.wal_next = 20;
+  const std::string newest = write_checkpoint(dir_, data);
+  {
+    const std::string lying = resealed_with_line(
+        encode_checkpoint(data), "online ",
+        std::string("online 77 3 ") + kHugeCount);
+    std::ofstream(newest, std::ios::binary | std::ios::trunc) << lying;
   }
   const auto loaded = load_latest_checkpoint(dir_);
   ASSERT_TRUE(loaded.has_value());

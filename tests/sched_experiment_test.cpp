@@ -85,19 +85,6 @@ TEST(Policy, ClassAwarePicksSPN) {
   EXPECT_EQ(to_string(pick.schedule), "{(NPS),(NPS),(NPS)}");
 }
 
-TEST(Policy, RandomPickRespectsMultiplicity) {
-  const auto schedules = enumerate_schedules({{'S', 3}, {'P', 3}, {'N', 3}},
-                                             3, 3);
-  linalg::Rng rng(17);
-  std::map<std::string, int> counts;
-  const int trials = 20000;
-  for (int i = 0; i < trials; ++i)
-    ++counts[to_string(pick_random(schedules, rng).schedule)];
-  // The uniform schedule has multiplicity 6/1680; a heavy one has 324/1680.
-  EXPECT_LT(counts["{(SSS),(PPP),(NNN)}"], 250);
-  EXPECT_GT(counts["{(NPS),(NPS),(NPS)}"], 1800);  // 216/1680 ~ 12.8%
-}
-
 TEST(Policy, ClassesFromDatabase) {
   core::ApplicationDatabase db;
   auto add = [&](const char* app, core::ApplicationClass cls) {

@@ -34,7 +34,6 @@ sim::Testbed two_vm_testbed(std::uint64_t seed = 3) {
 
 TEST(Migration, MovesInstanceAndPausesIt) {
   sim::Testbed tb = two_vm_testbed();
-  tb.engine->set_migration_bandwidth(20.0e6);
   const auto id = tb.engine->submit(tb.vm1, burner(1.0, 100.0, 40.0));
   tb.engine->run_for(10);
   const sim::SimTime downtime = tb.engine->migrate(id, tb.vm2);
@@ -63,7 +62,6 @@ TEST(Migration, NoopCases) {
 
 TEST(Migration, DowntimeScalesWithWorkingSet) {
   sim::Testbed tb = two_vm_testbed();
-  tb.engine->set_migration_bandwidth(20.0e6);
   const auto small = tb.engine->submit(tb.vm1, burner(0.1, 500.0, 20.0));
   const auto large = tb.engine->submit(tb.vm2, burner(0.1, 500.0, 200.0));
   tb.engine->run_for(5);

@@ -19,57 +19,6 @@ TEST(TimeSeries, TimeAtUsesInterval) {
   EXPECT_EQ(s.time_at(2), 110);
 }
 
-TEST(Downsample, AveragesBlocks) {
-  const TimeSeries s = make_series({1, 3, 5, 7});
-  const TimeSeries d = downsample(s, 2);
-  ASSERT_EQ(d.size(), 2u);
-  EXPECT_DOUBLE_EQ(d.values[0], 2.0);
-  EXPECT_DOUBLE_EQ(d.values[1], 6.0);
-  EXPECT_EQ(d.interval, 2);
-}
-
-TEST(Downsample, PartialTailAveragedOverActualLength) {
-  const TimeSeries s = make_series({2, 4, 9});
-  const TimeSeries d = downsample(s, 2);
-  ASSERT_EQ(d.size(), 2u);
-  EXPECT_DOUBLE_EQ(d.values[1], 9.0);
-}
-
-TEST(Downsample, FactorOneIsIdentity) {
-  const TimeSeries s = make_series({1, 2, 3});
-  const TimeSeries d = downsample(s, 1);
-  EXPECT_EQ(d.values, s.values);
-  EXPECT_EQ(d.interval, s.interval);
-}
-
-TEST(MovingAverage, SmoothsInterior) {
-  const TimeSeries s = make_series({0, 0, 9, 0, 0});
-  const TimeSeries m = moving_average(s, 3);
-  EXPECT_DOUBLE_EQ(m.values[2], 3.0);
-  EXPECT_DOUBLE_EQ(m.values[1], 3.0);
-}
-
-TEST(MovingAverage, EdgesUseOneSidedWindow) {
-  const TimeSeries s = make_series({6, 0, 0});
-  const TimeSeries m = moving_average(s, 3);
-  EXPECT_DOUBLE_EQ(m.values[0], 3.0);  // (6+0)/2
-}
-
-TEST(MovingAverage, WidthOneIsIdentity) {
-  const TimeSeries s = make_series({1, 5, 2});
-  EXPECT_EQ(moving_average(s, 1).values, s.values);
-}
-
-TEST(Windows, SummariesCoverSeries) {
-  const TimeSeries s = make_series({1, 2, 3, 4, 5});
-  const auto w = windowed_summaries(s, 2);
-  ASSERT_EQ(w.size(), 3u);
-  EXPECT_EQ(w[0].begin, 0u);
-  EXPECT_EQ(w[2].end, 5u);
-  EXPECT_DOUBLE_EQ(w[0].stats.mean(), 1.5);
-  EXPECT_EQ(w[2].stats.count(), 1u);
-}
-
 TEST(ChangePoints, DetectsStepChange) {
   std::vector<double> v;
   for (int i = 0; i < 20; ++i) v.push_back(1.0 + 0.01 * (i % 2));
