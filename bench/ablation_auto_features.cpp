@@ -25,8 +25,7 @@ int main() {
                 std::string(metrics::info(ranked[i].metric).name).c_str(),
                 ranked[i].relevance);
 
-  const auto auto_selected = core::select_features(
-      data, {.target_count = 8, .max_redundancy = 0.97});
+  const auto auto_selected = core::select_features(data);
   std::printf("\nauto-selected set (%zu metrics):", auto_selected.size());
   for (const auto id : auto_selected)
     std::printf(" %s", std::string(metrics::info(id).name).c_str());

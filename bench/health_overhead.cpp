@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
   double drift_seconds = 0.0;
   std::vector<double> pair_ratios(kReps);
   for (int rep = 0; rep < kReps; ++rep) {
-    obs::DriftDetector detector(core::make_health_options().drift);
+    obs::DriftDetector detector(core::make_health_options().drift_window);
     const double seconds = time_run([&] {
       for (int pass = 0; pass < kDriftPasses; ++pass)
         for (std::size_t i = 0; i < stream.size(); ++i)

@@ -11,6 +11,14 @@ namespace appclass::core {
 
 namespace {
 
+/// Stop once this many metrics are selected (the paper's p = 8).
+constexpr std::size_t kTargetCount = 8;
+/// Reject a candidate whose |correlation| with any kept metric exceeds
+/// this.
+constexpr double kMaxRedundancy = 0.97;
+/// Drop metrics whose relevance is below this (constant metrics score 0).
+constexpr double kMinRelevance = 1e-6;
+
 /// One-way ANOVA F-statistic of metric `m` against the labels.
 double anova_f(const LabeledSnapshots& data, std::size_t m) {
   std::array<linalg::RunningStats, kClassCount> per_class;
@@ -70,18 +78,16 @@ double feature_redundancy(const LabeledSnapshots& data, metrics::MetricId a,
   return std::abs(linalg::correlation(xs, ys));
 }
 
-std::vector<metrics::MetricId> select_features(
-    const LabeledSnapshots& data, const FeatureSelectionOptions& options) {
-  APPCLASS_EXPECTS(options.target_count >= 1);
+std::vector<metrics::MetricId> select_features(const LabeledSnapshots& data) {
   const auto ranked = rank_features(data);
   std::vector<metrics::MetricId> selected;
   for (const auto& candidate : ranked) {
-    if (selected.size() >= options.target_count) break;
-    if (candidate.relevance < options.min_relevance) break;
+    if (selected.size() >= kTargetCount) break;
+    if (candidate.relevance < kMinRelevance) break;
     bool redundant = false;
     for (const auto kept : selected) {
       if (feature_redundancy(data, candidate.metric, kept) >
-          options.max_redundancy) {
+          kMaxRedundancy) {
         redundant = true;
         break;
       }
@@ -93,9 +99,8 @@ std::vector<metrics::MetricId> select_features(
 }
 
 std::vector<metrics::MetricId> select_features(
-    const std::vector<LabeledPool>& pools,
-    const FeatureSelectionOptions& options) {
-  return select_features(flatten(pools), options);
+    const std::vector<LabeledPool>& pools) {
+  return select_features(flatten(pools));
 }
 
 }  // namespace appclass::core

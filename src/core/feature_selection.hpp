@@ -9,8 +9,9 @@
 //     class labels (between-class variance over within-class variance);
 //   * redundancy — absolute Pearson correlation between metrics;
 //   * selection  — greedy: walk metrics in decreasing relevance, keep one
-//     if its correlation with every already-kept metric stays below the
-//     redundancy threshold, until `target_count` metrics are kept.
+//     if its |correlation| with every already-kept metric stays at or
+//     below 0.97, until the paper's 8 metrics are kept. Constant metrics
+//     (relevance 0) are never kept.
 #pragma once
 
 #include <cstddef>
@@ -26,16 +27,6 @@ struct FeatureScore {
   double relevance = 0.0;  ///< ANOVA F-statistic vs the class labels
 };
 
-struct FeatureSelectionOptions {
-  /// Stop once this many metrics are selected.
-  std::size_t target_count = 8;
-  /// Reject a candidate whose |correlation| with any kept metric exceeds
-  /// this (1.0 disables the redundancy filter).
-  double max_redundancy = 0.95;
-  /// Drop metrics whose relevance is below this (constant metrics score 0).
-  double min_relevance = 1e-6;
-};
-
 /// Relevance of every metric, sorted descending (constant metrics last).
 std::vector<FeatureScore> rank_features(const LabeledSnapshots& data);
 
@@ -44,12 +35,10 @@ double feature_redundancy(const LabeledSnapshots& data, metrics::MetricId a,
                           metrics::MetricId b);
 
 /// Greedy relevance/redundancy selection over all 33 monitored metrics.
-std::vector<metrics::MetricId> select_features(
-    const LabeledSnapshots& data, const FeatureSelectionOptions& options = {});
+std::vector<metrics::MetricId> select_features(const LabeledSnapshots& data);
 
 /// Convenience: selects features from labelled pools.
 std::vector<metrics::MetricId> select_features(
-    const std::vector<LabeledPool>& pools,
-    const FeatureSelectionOptions& options = {});
+    const std::vector<LabeledPool>& pools);
 
 }  // namespace appclass::core

@@ -35,10 +35,7 @@ obs::ModelHealthOptions make_health_options(std::size_t drift_window) {
   options.class_names.reserve(kClassCount);
   for (const std::string_view name : kClassNames)
     options.class_names.emplace_back(name);
-  if (drift_window > 0) {
-    options.drift.window = drift_window;
-    options.drift.reference_window = 2 * drift_window;
-  }
+  if (drift_window > 0) options.drift_window = drift_window;
   return options;
 }
 

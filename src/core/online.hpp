@@ -31,7 +31,7 @@ namespace appclass::core {
 
 /// ModelHealthOptions pre-filled with this domain's class names (obs is a
 /// lower layer and does not know them). `drift_window` sizes the drift
-/// detector's sliding window; 0 keeps the DriftOptions default.
+/// detector's sliding window; 0 keeps the ModelHealthOptions default.
 obs::ModelHealthOptions make_health_options(std::size_t drift_window = 0);
 
 struct OnlineOptions {

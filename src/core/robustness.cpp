@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "metrics/quality.hpp"
 #include "monitor/fault_injection.hpp"
 #include "monitor/harness.hpp"
 #include "obs/log.hpp"
@@ -178,7 +179,7 @@ ChaosCell run_chaos_cell(const ClassificationPipeline& pipeline,
       linalg::derive_seed(options.seed,
                           static_cast<std::uint64_t>(kind) * 1000003 +
                               static_cast<std::uint64_t>(rate * 1.0e6)));
-  metrics::SnapshotSanitizer sanitizer(options.sanitizer);
+  metrics::SnapshotSanitizer sanitizer;
   sanitizer.set_fallback(run.metric_means);
 
   metrics::DataPool degraded_pool(run.node_ip);

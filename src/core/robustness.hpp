@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "metrics/quality.hpp"
 
 namespace appclass::core {
 
@@ -64,7 +63,6 @@ struct ChaosOptions {
   std::vector<FaultKind> kinds;
   /// Run the sanitizer between the faulty channel and the classifier.
   bool sanitize = true;
-  metrics::SanitizerOptions sanitizer{};
   /// Base seed for the per-cell fault channels.
   std::uint64_t seed = 99;
   /// Seed for the simulated canonical runs (distinct from training).

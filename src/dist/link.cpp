@@ -18,6 +18,12 @@ namespace appclass::dist {
 
 namespace {
 
+/// Max frames in flight before send() blocks on acks.
+constexpr std::size_t kWindow = 64;
+/// Reconnect backoff: initial, doubling to max.
+constexpr int kBackoffInitialMs = 100;
+constexpr int kBackoffMaxMs = 2000;
+
 std::int64_t steady_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -63,12 +69,12 @@ void WorkerLink::disconnect() {
 
 bool WorkerLink::ensure_connected() {
   if (fd_ >= 0) return true;
-  int backoff_ms = options_.backoff_initial_ms;
+  int backoff_ms = kBackoffInitialMs;
   bool first_attempt = true;
   while (!stop_requested()) {
     if (!first_attempt) {
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, options_.backoff_max_ms);
+      backoff_ms = std::min(backoff_ms * 2, kBackoffMaxMs);
     }
     first_attempt = false;
 
@@ -202,7 +208,7 @@ bool WorkerLink::send(const metrics::Snapshot& snapshot,
     if (stop_requested()) return false;
     if (!ensure_connected()) return false;
     // Window full: wait for acks before adding more in-flight data.
-    if (unacked_.size() >= options_.window) {
+    if (unacked_.size() >= kWindow) {
       if (!drain_acks(/*block=*/true)) disconnect();
       continue;
     }

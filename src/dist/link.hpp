@@ -11,13 +11,14 @@
 //     durable before the crash and are retired, the rest are resent in
 //     order.
 //   * send() stamps the next sequence number, buffers the encoded frame
-//     in the unacked window, and writes it. When the window is full the
-//     call blocks draining acks — bounded in-flight data is the
-//     backpressure: a worker that stops acking stops the coordinator.
+//     in the unacked window, and writes it. When the window is full (64
+//     frames) the call blocks draining acks — bounded in-flight data is
+//     the backpressure: a worker that stops acking stops the coordinator.
 //   * a send/recv failure tears the connection down and the next call
-//     reconnects with exponential backoff, retrying until the stop
-//     predicate fires — a SIGKILLed worker being restarted by its
-//     supervisor looks like a long reconnect, not data loss.
+//     reconnects with exponential backoff (100 ms doubling to 2 s),
+//     retrying until the stop predicate fires — a SIGKILLed worker being
+//     restarted by its supervisor looks like a long reconnect, not data
+//     loss.
 //
 // Single-threaded by design: the coordinator's replay loop is the only
 // caller, so per-link ordering (the property the bit-identical aggregate
@@ -38,14 +39,9 @@
 namespace appclass::dist {
 
 struct WorkerLinkOptions {
-  /// Max frames in flight before send() blocks on acks.
-  std::size_t window = 64;
   /// Socket read/write timeouts; an ack wait that trips this tears the
   /// connection down and reconnects.
   int io_timeout_ms = 2000;
-  /// Reconnect backoff: initial, doubling to max.
-  int backoff_initial_ms = 100;
-  int backoff_max_ms = 2000;
   /// Checked between connect attempts and ack waits; true aborts the
   /// operation (graceful shutdown mid-retry).
   std::function<bool()> should_stop;

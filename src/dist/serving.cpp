@@ -649,15 +649,11 @@ int ServeApp::run_coordinator() {
 
   // SLO verdict for the whole fleet: freshness fed by the links' durable
   // acks (below), availability by the federation scraper's probe results.
-  const double objective =
-      static_cast<double>(config.slo_objective_pct) / 100.0;
   obs::SloTracker slo(
-      {.freshness_objective = objective,
+      {.objective = static_cast<double>(config.slo_objective_pct) / 100.0,
        .freshness_threshold_s =
            static_cast<double>(config.slo_freshness_ms) * 1e-3,
-       .availability_objective = objective,
-       .short_window_s = static_cast<int>(config.slo_window_s),
-       .long_window_s = static_cast<int>(config.slo_window_s * 12)});
+       .short_window_s = static_cast<int>(config.slo_window_s)});
 
   const dist::ShardMap shard_map(config.workers.size());
   std::vector<std::unique_ptr<dist::WorkerLink>> links;

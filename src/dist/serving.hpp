@@ -60,7 +60,7 @@ struct ServeOptions {
   /// Replay cycles before the stream stops and /replay reports complete
   /// (single + coordinator modes; 0 = replay until duration/signal).
   long long cycles = 0;
-  long long drift_window = 0;  ///< 0 = DriftOptions default
+  long long drift_window = 0;  ///< 0 = ModelHealthOptions default
   /// Empty disables persistence; otherwise the crash-safety state
   /// directory (<dir>/wal + <dir>/checkpoints).
   std::string state_dir;

@@ -2,12 +2,22 @@
 
 #include <cmath>
 
-#include "common/assert.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace appclass::metrics {
 namespace {
+
+/// An announcement older than (node's newest accepted time - this) is
+/// rejected as a stale replay; mild reordering inside it is accepted.
+constexpr SimTime kStalenessBudgetS = 30;
+/// A repaired metric reuses the node's last good value only while it is
+/// at most this old; beyond it the fallback value is used instead.
+constexpr SimTime kImputationTtlS = 60;
+/// When more than this fraction of a snapshot's metrics need repair the
+/// whole snapshot is quarantined — too little signal is left to trust
+/// the repair.
+constexpr double kMaxRepairFraction = 0.5;
 
 struct SanitizerMetrics {
   obs::Counter& accepted = obs::MetricsRegistry::global().counter(
@@ -33,14 +43,6 @@ SanitizerMetrics& sanitizer_metrics() {
 
 }  // namespace
 
-SnapshotSanitizer::SnapshotSanitizer(SanitizerOptions options)
-    : options_(options) {
-  APPCLASS_EXPECTS(options.staleness_budget_s >= 0);
-  APPCLASS_EXPECTS(options.imputation_ttl_s >= 0);
-  APPCLASS_EXPECTS(options.max_repair_fraction >= 0.0 &&
-                   options.max_repair_fraction <= 1.0);
-}
-
 void SnapshotSanitizer::set_fallback(
     const std::array<double, kMetricCount>& values) {
   fallback_ = values;
@@ -49,9 +51,8 @@ void SnapshotSanitizer::set_fallback(
 
 bool SnapshotSanitizer::valid_value(std::size_t metric_index,
                                     double v) const noexcept {
-  if (!std::isfinite(v)) return false;
-  if (!options_.check_ranges) return true;
-  return plausible_range(static_cast<MetricId>(metric_index)).contains(v);
+  return std::isfinite(v) &&
+         plausible_range(static_cast<MetricId>(metric_index)).contains(v);
 }
 
 double SnapshotSanitizer::impute(const NodeState& node,
@@ -61,7 +62,7 @@ double SnapshotSanitizer::impute(const NodeState& node,
   const SimTime seen = node.last_good_time[metric_index];
   const bool have_locf = seen >= 0;
   const bool fresh =
-      have_locf && now - seen <= options_.imputation_ttl_s && now >= seen;
+      have_locf && now - seen <= kImputationTtlS && now >= seen;
   if (fresh || (have_locf && !has_fallback_)) {
     sm.imputed_locf.inc();
     return node.last_good[metric_index];
@@ -79,7 +80,7 @@ SanitizeResult SnapshotSanitizer::sanitize(const Snapshot& raw) {
   // Freshness: reject replays from beyond the staleness budget. Mild
   // reordering (inside the budget) is tolerated.
   if (node.seen_any &&
-      raw.time < node.newest - options_.staleness_budget_s) {
+      raw.time < node.newest - kStalenessBudgetS) {
     result.verdict = SanitizeVerdict::kRejectedStale;
     ++stats_.rejected_stale;
     sm.rejected_stale.inc();
@@ -90,8 +91,7 @@ SanitizeResult SnapshotSanitizer::sanitize(const Snapshot& raw) {
 
   // Dedup by (node, time): duplicated UDP delivery or a replayed
   // announcement inside the budget.
-  if (options_.reject_duplicates &&
-      node.seen_times.count(raw.time) != 0) {
+  if (node.seen_times.count(raw.time) != 0) {
     result.verdict = SanitizeVerdict::kRejectedDuplicate;
     ++stats_.rejected_duplicate;
     sm.rejected_duplicate.inc();
@@ -113,7 +113,7 @@ SanitizeResult SnapshotSanitizer::sanitize(const Snapshot& raw) {
 
   if (invalid > 0 &&
       static_cast<double>(invalid) >
-          options_.max_repair_fraction * static_cast<double>(kMetricCount)) {
+          kMaxRepairFraction * static_cast<double>(kMetricCount)) {
     result.verdict = SanitizeVerdict::kQuarantined;
     result.imputed_metrics = 0;
     ++stats_.quarantined;
@@ -129,7 +129,7 @@ SanitizeResult SnapshotSanitizer::sanitize(const Snapshot& raw) {
     node.newest = raw.time;
     // Purge dedup entries that fell out of the staleness window: anything
     // older is rejected as stale before the dedup check runs.
-    const SimTime horizon = node.newest - options_.staleness_budget_s;
+    const SimTime horizon = node.newest - kStalenessBudgetS;
     node.seen_times.erase(node.seen_times.begin(),
                           node.seen_times.lower_bound(horizon));
   }

@@ -8,6 +8,8 @@
 // fresh, unique per (node, time), and within each metric's plausible
 // range — repairing what it can (last-observation-carried-forward with a
 // TTL, falling back to training means) and rejecting what it cannot.
+// Its budgets are fixed: a 30 s staleness budget, a 60 s imputation TTL,
+// and quarantine once more than half of a snapshot's metrics need repair.
 // Every decision is counted through the appclass::obs registry so a
 // degraded monitoring plane is visible in `--stats` output.
 #pragma once
@@ -21,26 +23,6 @@
 #include "metrics/snapshot.hpp"
 
 namespace appclass::metrics {
-
-struct SanitizerOptions {
-  /// An announcement older than (node's newest accepted time -
-  /// staleness_budget_s) is rejected as a stale replay. Mild reordering
-  /// inside the budget is accepted.
-  SimTime staleness_budget_s = 30;
-  /// A repaired metric reuses the node's last good value only while it is
-  /// at most this old; beyond the TTL the fallback value is used instead.
-  SimTime imputation_ttl_s = 60;
-  /// Reject announcements whose (node, time) was already accepted
-  /// (duplicate delivery).
-  bool reject_duplicates = true;
-  /// Validate values against metrics::plausible_range in addition to
-  /// finiteness.
-  bool check_ranges = true;
-  /// When more than this fraction of a snapshot's metrics need repair the
-  /// whole snapshot is quarantined (rejected) — too little signal is left
-  /// to trust the repair.
-  double max_repair_fraction = 0.5;
-};
 
 /// What the sanitizer decided about one announcement.
 enum class SanitizeVerdict {
@@ -68,8 +50,6 @@ struct SanitizeResult {
 
 class SnapshotSanitizer {
  public:
-  explicit SnapshotSanitizer(SanitizerOptions options = {});
-
   /// Per-metric fallback values (typically training means) used when a
   /// node has no fresh-enough last good value to carry forward. Without a
   /// fallback, expired imputations reuse the stale last good value anyway
@@ -80,8 +60,6 @@ class SnapshotSanitizer {
   /// repaired snapshot. Accepted snapshots update the node's dedup /
   /// freshness / last-good state.
   SanitizeResult sanitize(const Snapshot& raw);
-
-  const SanitizerOptions& options() const noexcept { return options_; }
 
   /// Local decision tallies (the same numbers are exported globally via
   /// the obs registry; these are per-instance for tests and reports).
@@ -119,7 +97,6 @@ class SnapshotSanitizer {
   double impute(const NodeState& node, std::size_t metric_index,
                 SimTime now) const noexcept;
 
-  SanitizerOptions options_;
   std::array<double, kMetricCount> fallback_{};
   bool has_fallback_ = false;
   std::map<std::string, NodeState> nodes_;

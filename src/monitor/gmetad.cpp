@@ -2,12 +2,14 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace appclass::monitor {
 namespace {
+
+/// A node silent for longer than this (in cluster time) is dead.
+constexpr metrics::SimTime kLivenessTimeoutS = 60;
 
 struct GmetadMetrics {
   obs::Counter& announcements = obs::MetricsRegistry::global().counter(
@@ -27,9 +29,7 @@ GmetadMetrics& gmetad_metrics() {
 
 }  // namespace
 
-Gmetad::Gmetad(MetricBus& bus, metrics::SimTime liveness_timeout_s)
-    : bus_(bus), liveness_timeout_s_(liveness_timeout_s) {
-  APPCLASS_EXPECTS(liveness_timeout_s >= 1);
+Gmetad::Gmetad(MetricBus& bus) : bus_(bus) {
   subscription_ = bus_.subscribe(
       [this](const metrics::Snapshot& s) { on_announce(s); });
 }
@@ -67,51 +67,14 @@ void Gmetad::on_announce(const metrics::Snapshot& snapshot) {
 }
 
 bool Gmetad::alive(const metrics::Snapshot& snapshot) const {
-  return newest_time_ - snapshot.time <= liveness_timeout_s_;
+  return newest_time_ - snapshot.time <= kLivenessTimeoutS;
 }
-
-std::size_t Gmetad::node_count() const { return nodes_.size(); }
 
 std::optional<metrics::Snapshot> Gmetad::latest(
     const std::string& node_ip) const {
   const auto it = nodes_.find(node_ip);
   if (it == nodes_.end()) return std::nullopt;
   return it->second.snapshot;
-}
-
-std::optional<MetricSummary> Gmetad::summary(metrics::MetricId id) const {
-  MetricSummary out;
-  bool first = true;
-  for (const auto& [ip, record] : nodes_) {
-    if (!alive(record.snapshot)) continue;
-    const double v = record.snapshot.get(id);
-    out.sum += v;
-    if (first) {
-      out.min = out.max = v;
-      first = false;
-    } else {
-      out.min = std::min(out.min, v);
-      out.max = std::max(out.max, v);
-    }
-    ++out.nodes;
-  }
-  if (out.nodes == 0) return std::nullopt;
-  out.mean = out.sum / static_cast<double>(out.nodes);
-  return out;
-}
-
-std::optional<std::string> Gmetad::argmax(metrics::MetricId id) const {
-  std::optional<std::string> best;
-  double best_value = 0.0;
-  for (const auto& [ip, record] : nodes_) {
-    if (!alive(record.snapshot)) continue;
-    const double v = record.snapshot.get(id);
-    if (!best || v > best_value) {
-      best = ip;
-      best_value = v;
-    }
-  }
-  return best;
 }
 
 }  // namespace appclass::monitor

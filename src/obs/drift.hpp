@@ -10,8 +10,8 @@
 //
 //   PSI = sum_b (p_cur[b] - p_ref[b]) * ln(p_cur[b] / p_ref[b])
 //
-// over `bins` buckets whose edges are the reference window's quantiles.
-// The reference freezes itself from the first `reference_window` samples
+// over 10 buckets whose edges are the reference window's quantiles.
+// The reference freezes itself from the first 2 x `window` samples
 // observed (the serving distribution the operator implicitly accepted at
 // deploy time), so a stationary stream scores ~0 while a phase change —
 // an application switching behaviour class mid-run — spikes the score of
@@ -19,11 +19,11 @@
 // PSI < 0.1 stable, 0.1-0.25 moderate shift, > 0.25 drifted.
 //
 // Firing is hysteretic: a component enters the drifting state when its
-// score crosses `fire_threshold` (invoking the on_drift callback once,
-// on the rising edge) and leaves it only when the score falls back below
-// `clear_threshold` — so a score oscillating around the fire line cannot
-// ring the alarm every sample. Scores are recomputed every `stride`
-// samples, keeping the per-sample cost to a ring-buffer update.
+// score crosses kFireThreshold (invoking the on_drift callback once, on
+// the rising edge) and leaves it only when the score falls back below
+// kClearThreshold — so a score oscillating around the fire line cannot
+// ring the alarm every sample. Scores are recomputed every 16 samples,
+// keeping the per-sample cost to a ring-buffer update.
 //
 // Everything is a pure function of the observed stream: same stream,
 // same scores, same events — bit-reproducible, and free of any feedback
@@ -40,33 +40,23 @@
 
 namespace appclass::obs {
 
-struct DriftOptions {
-  /// Samples in the frozen reference window (collected first).
-  std::size_t reference_window = 256;
-  /// Samples in the sliding current window compared against it.
-  std::size_t window = 128;
-  /// PSI histogram buckets; edges are reference-window quantiles.
-  std::size_t bins = 10;
-  /// Score recomputation stride in samples (1 = every sample). Purely a
-  /// cost knob: events fire at the same stream positions modulo stride.
-  std::size_t stride = 16;
-  /// Rising-edge threshold: score >= this enters the drifting state.
-  double fire_threshold = 0.25;
-  /// Falling-edge threshold: score <= this leaves it (hysteresis band).
-  double clear_threshold = 0.10;
-};
-
 class DriftDetector {
  public:
   /// Called once per rising edge with the component index and its score.
   using DriftCallback = std::function<void(std::size_t component,
                                            double score)>;
 
-  explicit DriftDetector(DriftOptions options = {});
+  /// Rising-edge threshold: score >= this enters the drifting state.
+  static constexpr double kFireThreshold = 0.25;
+  /// Falling-edge threshold: score <= this leaves it (hysteresis band).
+  static constexpr double kClearThreshold = 0.10;
+
+  /// `window` samples slide against a reference of 2 x `window`.
+  explicit DriftDetector(std::size_t window = 128);
 
   /// Fixes the reference distribution explicitly instead of self-freezing
   /// from the stream: `row_major` is samples x components, flattened.
-  /// Must be called before the first observe(), with at least `bins`
+  /// Must be called before the first observe(), with at least 10
   /// samples.
   void set_reference(std::span<const double> row_major,
                      std::size_t components);
@@ -91,14 +81,15 @@ class DriftDetector {
   /// Rising edges fired so far, across all components.
   std::uint64_t events() const noexcept { return events_; }
 
-  const DriftOptions& options() const noexcept { return options_; }
+  /// Samples in the sliding current window.
+  std::size_t window() const noexcept { return window_; }
 
   /// {"reference_ready":..,"samples":..,"events":..,"components":[...]}
   std::string to_json() const;
 
  private:
   struct Component {
-    /// Reference proportion per bucket (bins entries, epsilon-floored).
+    /// Reference proportion per bucket (epsilon-floored).
     std::vector<double> reference;
     /// ln(reference[b]), cached at freeze so rescore() is log-free.
     std::vector<double> log_reference;
@@ -117,7 +108,7 @@ class DriftDetector {
   std::size_t bucket_of(std::size_t component, double value) const;
   void rescore();
 
-  DriftOptions options_;
+  std::size_t window_;
   DriftCallback callback_;
   std::vector<Component> components_;
   /// Samples since the last rescore (avoids a per-sample modulo).
@@ -126,12 +117,12 @@ class DriftDetector {
   // allocation each instead of three pointer chases per component — and
   // the sliding window advances in lockstep across components, so the
   // ring head and fill are shared.
-  /// Interior bucket edges: [component * (bins - 1) + e], ascending.
+  /// Interior bucket edges: [component * (kBins - 1) + e], ascending.
   std::vector<double> edges_;
   /// Window ring of bucket indices, one slot per sample:
   /// [slot * components + component].
   std::vector<std::uint8_t> ring_;
-  /// Current-window bucket counts: [component * bins + b].
+  /// Current-window bucket counts: [component * kBins + b].
   std::vector<std::uint32_t> counts_;
   std::size_t ring_head_ = 0;
   std::size_t ring_size_ = 0;

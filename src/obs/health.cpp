@@ -17,6 +17,11 @@ const std::vector<double>& share_buckets() {
   return bounds;
 }
 
+/// Per-node scorecards kept exactly; further nodes fold into "other".
+constexpr std::size_t kTopNodes = 16;
+/// Rolling window (samples) behind the novel-fraction gauge.
+constexpr std::size_t kNovelWindow = 256;
+
 std::atomic<ModelHealth*> g_instance{nullptr};
 
 /// `text` as a JSON string literal (node IPs, class names).
@@ -38,10 +43,9 @@ void ModelHealth::set_instance(ModelHealth* health) noexcept {
 
 ModelHealth::ModelHealth(ModelHealthOptions options)
     : options_(std::move(options)),
-      node_labels_(options_.top_nodes),
-      drift_(options_.drift),
-      novel_ring_(options_.novel_window == 0 ? 1 : options_.novel_window,
-                  false),
+      node_labels_(kTopNodes),
+      drift_(options_.drift_window),
+      novel_ring_(kNovelWindow, false),
       novel_total_(MetricsRegistry::global().counter(
           "appclass_health_novel_total")),
       abstained_total_(MetricsRegistry::global().counter(
@@ -230,7 +234,7 @@ std::string ModelHealth::nodes_json() const {
   const std::lock_guard lock(mutex_);
   std::ostringstream out;
   out << "{\"tracked\":" << nodes_.size()
-      << ",\"top_nodes\":" << options_.top_nodes
+      << ",\"top_nodes\":" << kTopNodes
       << ",\"overflowed\":" << node_labels_.overflowed() << ",\"nodes\":[";
   bool first = true;
   for (const auto& [name, node] : nodes_) {

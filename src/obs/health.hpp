@@ -9,8 +9,8 @@
 //   * per-class confidence and vote-margin histograms plus scorecard
 //     summaries (`/classes`),
 //   * per-node classification scorecards with bounded cardinality —
-//     the first `top_nodes` distinct nodes keep their own card, the
-//     rest aggregate into an `other` bucket (`/nodes`),
+//     the first 16 distinct nodes keep their own card, the rest
+//     aggregate into an `other` bucket (`/nodes`),
 //   * an online drift detector over the projected feature stream
 //     (`/drift`, `appclass_drift_score{component=}`), with an
 //     `on_drift` callback hook a retraining loop can subscribe to,
@@ -42,14 +42,11 @@ namespace appclass::obs {
 struct ModelHealthOptions {
   /// Class names in label-index order; fixes the class count. Required.
   std::vector<std::string> class_names;
-  /// Per-node scorecards kept exactly; further nodes fold into "other".
-  std::size_t top_nodes = 16;
-  /// Rolling window (samples) behind the novel-fraction gauge.
-  std::size_t novel_window = 256;
   /// False skips the drift feed entirely (bench baseline / cost opt-out);
   /// everything else about the aggregator is unchanged.
   bool drift_enabled = true;
-  DriftOptions drift{};
+  /// The drift detector's sliding window (see DriftDetector).
+  std::size_t drift_window = 128;
 };
 
 /// One classified (or abstained) snapshot's health evidence. Fields the
@@ -115,7 +112,7 @@ class ModelHealth {
   /// for the coordinator's merged /classes view.
   std::vector<std::uint64_t> class_sample_counts() const;
   std::uint64_t drift_events() const;
-  /// Fraction of the last `novel_window` samples flagged novel.
+  /// Fraction of the last 256 samples flagged novel.
   double novel_fraction() const;
 
   /// Process-global instance hook: lets decoupled observers (the CLI's

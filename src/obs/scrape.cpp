@@ -12,12 +12,17 @@
 namespace appclass::obs {
 namespace {
 
+/// Requests larger than this (without a complete header block) are
+/// answered 431 and closed instead of buffered without bound.
+constexpr std::size_t kMaxRequestBytes = 8 * 1024;
+
 /// Reads until the end of the HTTP header block (CRLFCRLF), a timeout,
-/// peer close, or the size cap. Bodies are ignored — every route is GET.
-std::string read_request(int fd, std::size_t max_bytes) {
+/// peer close, or kMaxRequestBytes. Bodies are ignored — every route is
+/// GET.
+std::string read_request(int fd) {
   std::string request;
   char buffer[1024];
-  while (request.size() < max_bytes) {
+  while (request.size() < kMaxRequestBytes) {
     const ssize_t n = common::net::recv_some(fd, buffer, sizeof buffer);
     if (n <= 0) break;
     request.append(buffer, static_cast<std::size_t>(n));
@@ -125,10 +130,10 @@ void ScrapeServer::stop() {
 
 void ScrapeServer::serve(int fd) {
   auto& registry = MetricsRegistry::global();
-  const std::string raw = read_request(fd, options_.max_request_bytes);
+  const std::string raw = read_request(fd);
   // The cap was hit without a complete header block: refuse rather
   // than buffer an unbounded header stream.
-  if (raw.size() >= options_.max_request_bytes &&
+  if (raw.size() >= kMaxRequestBytes &&
       raw.find("\r\n\r\n") == std::string::npos) {
     send_response(fd, "431 Request Header Fields Too Large", "text/plain",
                   "request too large\n");

@@ -21,7 +21,8 @@
 // receive timeout is simpler and easier to audit than a connection pool.
 // The server never touches classification state; it only reads the
 // MetricsRegistry / TraceRecorder snapshots and the registered handlers,
-// all of which are safe to read concurrently with recording.
+// all of which are safe to read concurrently with recording. A request
+// whose header block does not end within 8 KiB is answered 431.
 #pragma once
 
 #include <atomic>
@@ -40,9 +41,6 @@ struct ScrapeServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back with port() after start().
   std::uint16_t port = 0;
-  /// Requests larger than this (without a complete header block) are
-  /// answered 431 and closed instead of buffered without bound.
-  std::size_t max_request_bytes = 8 * 1024;
   /// bind() attempts beyond the first, with exponential backoff (see
   /// common::net::listen_tcp). Lets a restarted worker reclaim a port
   /// still held by its dead predecessor.

@@ -7,19 +7,27 @@
 #include "common/assert.hpp"
 
 namespace appclass::obs {
+namespace {
+
+/// Unhealthy when an indicator burns faster than its budget allows in
+/// BOTH windows.
+constexpr double kAlertBurnRate = 1.0;
+
+/// The long window is 12 short windows (5 minutes : 1 hour).
+int long_window_s(const SloOptions& options) {
+  return 12 * options.short_window_s;
+}
+
+}  // namespace
 
 SloTracker::SloTracker(SloOptions options)
     : options_(options),
       freshness_(static_cast<std::size_t>(
-          std::max(options.long_window_s, 1))),
+          std::max(long_window_s(options), 1))),
       availability_(static_cast<std::size_t>(
-          std::max(options.long_window_s, 1))) {
-  APPCLASS_EXPECTS(options_.freshness_objective > 0.0 &&
-                   options_.freshness_objective < 1.0);
-  APPCLASS_EXPECTS(options_.availability_objective > 0.0 &&
-                   options_.availability_objective < 1.0);
-  APPCLASS_EXPECTS(options_.short_window_s > 0 &&
-                   options_.short_window_s <= options_.long_window_s);
+          std::max(long_window_s(options), 1))) {
+  APPCLASS_EXPECTS(options_.objective > 0.0 && options_.objective < 1.0);
+  APPCLASS_EXPECTS(options_.short_window_s > 0);
 }
 
 void SloTracker::Sli::advance(std::int64_t now_s) {
@@ -85,19 +93,19 @@ void SloTracker::record_availability(bool ok, std::int64_t now_s) {
 SloTracker::Report SloTracker::report(std::int64_t now_s) const {
   const std::lock_guard lock(mutex_);
   Report out;
-  const auto fill = [&](Sli& sli, double objective, SliReport& r) {
+  const double objective = options_.objective;
+  const auto fill = [&](Sli& sli, SliReport& r) {
     sli.advance(now_s);
     r.objective = objective;
     r.short_window = sli.window(options_.short_window_s, now_s, objective);
-    r.long_window = sli.window(options_.long_window_s, now_s, objective);
-    r.burning = r.short_window.burn_rate > options_.alert_burn_rate &&
-                r.long_window.burn_rate > options_.alert_burn_rate;
+    r.long_window = sli.window(long_window_s(options_), now_s, objective);
+    r.burning = r.short_window.burn_rate > kAlertBurnRate &&
+                r.long_window.burn_rate > kAlertBurnRate;
   };
   // advance() mutates the rings, so shed const inside the lock.
   auto* self = const_cast<SloTracker*>(this);
-  fill(self->freshness_, options_.freshness_objective, out.freshness);
-  fill(self->availability_, options_.availability_objective,
-       out.availability);
+  fill(self->freshness_, out.freshness);
+  fill(self->availability_, out.availability);
   out.healthy = !out.freshness.burning && !out.availability.burning;
   return out;
 }

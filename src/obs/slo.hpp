@@ -12,10 +12,11 @@
 // Each indicator keeps per-second good/bad buckets over the long window
 // and reports the SRE-style *burn rate* — error_rate / (1 - objective),
 // i.e. how many times faster than sustainable the error budget is being
-// spent — over a short and a long window. The verdict alerts only when
-// BOTH windows burn (the classic multi-window rule: the short window
-// proves it is happening now, the long window proves it is not a blip),
-// and that verdict folds into the coordinator's /healthz 200/503.
+// spent — over a short window and a long window 12 times its length.
+// The verdict alerts only when BOTH windows burn faster than the budget
+// allows (burn rate above 1: the classic multi-window rule — the short
+// window proves it is happening now, the long window proves it is not a
+// blip), and that verdict folds into the coordinator's /healthz 200/503.
 //
 // Time is injected (`now_s`) rather than read internally so tests drive
 // the windows deterministically; serving feeds a monotonic clock.
@@ -29,17 +30,13 @@
 namespace appclass::obs {
 
 struct SloOptions {
-  /// Target good fraction for announce->durable freshness.
-  double freshness_objective = 0.99;
+  /// Target good fraction, shared by both indicators.
+  double objective = 0.99;
   /// Announce->durable latency above this is a bad freshness event.
   double freshness_threshold_s = 5.0;
-  /// Target good fraction for worker scrape availability.
-  double availability_objective = 0.99;
-  /// Burn-rate windows, seconds (defaults: 5 minutes and 1 hour).
+  /// Short burn-rate window, seconds; the long window is 12x (defaults:
+  /// 5 minutes and 1 hour).
   int short_window_s = 300;
-  int long_window_s = 3600;
-  /// Unhealthy when an indicator burns above this in BOTH windows.
-  double alert_burn_rate = 1.0;
 };
 
 class SloTracker {
@@ -63,7 +60,7 @@ class SloTracker {
     double objective = 0.0;
     WindowReport short_window;
     WindowReport long_window;
-    bool burning = false;  ///< above alert_burn_rate in both windows
+    bool burning = false;  ///< burn rate above 1 in both windows
   };
   struct Report {
     SliReport freshness;

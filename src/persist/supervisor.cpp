@@ -53,7 +53,6 @@ int status_to_code(int status) {
 }  // namespace
 
 Supervisor::Supervisor(SupervisorOptions options) : options_(options) {
-  APPCLASS_EXPECTS(options_.backoff_factor >= 1.0);
   APPCLASS_EXPECTS(options_.crash_loop_threshold >= 1);
 }
 
@@ -173,8 +172,7 @@ SupervisorResult Supervisor::run(const std::function<int()>& worker) {
       result.terminated = true;
       break;
     }
-    backoff_s = std::min(backoff_s * options_.backoff_factor,
-                         options_.backoff_max_s);
+    backoff_s = std::min(backoff_s * 2.0, options_.backoff_max_s);
     ++result.restarts;
     sm.restarts.inc();
     char ordinal[32];

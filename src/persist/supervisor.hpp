@@ -25,9 +25,9 @@
 namespace appclass::persist {
 
 struct SupervisorOptions {
+  /// Restart backoff: initial, doubling to max.
   double backoff_initial_s = 0.25;
   double backoff_max_s = 8.0;
-  double backoff_factor = 2.0;
   /// Failures within crash_loop_window_s that abort supervision.
   std::size_t crash_loop_threshold = 5;
   double crash_loop_window_s = 30.0;

@@ -49,17 +49,26 @@ TEST(FeatureSelection, RedundancyOfPerfectlyCorrelatedPair) {
 }
 
 TEST(FeatureSelection, SelectsRequestedCount) {
-  // Without the redundancy filter the greedy pass fills the quota exactly.
-  const auto selected = select_features(
-      synthetic_data(), {.target_count = 6, .max_redundancy = 1.01});
-  EXPECT_EQ(selected.size(), 6u);
+  // Given enough informative, mutually non-redundant metrics the greedy
+  // pass fills the paper's quota of 8 exactly: every constant metric
+  // gets a class-dependent level under independent noise, so pairwise
+  // |correlation| stays near 0.5, far under the 0.97 redundancy bound.
+  LabeledSnapshots data = synthetic_data();
+  linalg::Rng rng(13);
+  for (const FeatureScore& fs : rank_features(data)) {
+    if (fs.relevance > 0.0) continue;
+    for (std::size_t i = 0; i < data.size(); ++i)
+      data.snapshots[i].set(
+          fs.metric, static_cast<double>(index_of(data.labels[i])) +
+                         5.0 * rng.uniform());
+  }
+  EXPECT_EQ(select_features(data).size(), 8u);
 }
 
 TEST(FeatureSelection, RedundancyFilterMayReturnFewer) {
   // The synthetic data has 8 informative metrics in 4 tightly correlated
-  // pairs; with a strict filter, fewer than the target survive.
-  const auto selected = select_features(
-      synthetic_data(), {.target_count = 8, .max_redundancy = 0.95});
+  // pairs; the redundancy filter keeps fewer than the target of 8.
+  const auto selected = select_features(synthetic_data());
   EXPECT_GE(selected.size(), 3u);
   EXPECT_LT(selected.size(), 8u);
 }
@@ -67,8 +76,7 @@ TEST(FeatureSelection, RedundancyFilterMayReturnFewer) {
 TEST(FeatureSelection, SelectionCoversEveryClassSignal) {
   // The auto-selected set must contain at least one CPU, one IO/paging,
   // and one network metric, or the classifier couldn't separate classes.
-  const auto selected = select_features(synthetic_data(),
-                                        {.target_count = 8});
+  const auto selected = select_features(synthetic_data());
   const bool has_cpu = contains(selected, MetricId::kCpuUser) ||
                        contains(selected, MetricId::kCpuSystem) ||
                        contains(selected, MetricId::kCpuIdle);
@@ -87,23 +95,32 @@ TEST(FeatureSelection, SelectionCoversEveryClassSignal) {
 
 TEST(FeatureSelection, RedundancyFilterDropsDuplicates) {
   LabeledSnapshots data = synthetic_data();
-  // Make pkts_in an exact copy of bytes_in (a perfectly redundant metric).
+  // bytes_out is selected on its own (bytes_in, its tightly correlated
+  // partner, is not).
+  ASSERT_TRUE(contains(select_features(data), MetricId::kBytesOut));
+  // Make pkts_in an exact copy of bytes_out (a perfectly redundant metric).
   for (auto& s : data.snapshots)
-    s.set(MetricId::kPktsIn, s.get(MetricId::kBytesIn));
-  const auto strict =
-      select_features(data, {.target_count = 33, .max_redundancy = 0.99});
-  EXPECT_FALSE(contains(strict, MetricId::kBytesIn) &&
-               contains(strict, MetricId::kPktsIn));
-  const auto lax =
-      select_features(data, {.target_count = 33, .max_redundancy = 1.01});
-  EXPECT_TRUE(contains(lax, MetricId::kBytesIn) &&
-              contains(lax, MetricId::kPktsIn));
+    s.set(MetricId::kPktsIn, s.get(MetricId::kBytesOut));
+  const auto copied = select_features(data);
+  EXPECT_FALSE(contains(copied, MetricId::kBytesOut) &&
+               contains(copied, MetricId::kPktsIn));
+  // A correlated but not redundant copy (|correlation| under the 0.97
+  // bound) is kept next to the original.
+  linalg::Rng rng(17);
+  for (auto& s : data.snapshots)
+    s.set(MetricId::kPktsIn,
+          s.get(MetricId::kBytesOut) + rng.normal(0.0, 4.0e6));
+  EXPECT_LT(feature_redundancy(data, MetricId::kBytesOut, MetricId::kPktsIn),
+            0.97);
+  const auto correlated = select_features(data);
+  EXPECT_TRUE(contains(correlated, MetricId::kBytesOut) &&
+              contains(correlated, MetricId::kPktsIn));
 }
 
 TEST(FeatureSelection, AutoSelectedFeaturesTrainAnAccurateClassifier) {
   // The full future-work loop: auto-select -> train -> evaluate.
   const auto pools = testing::synthetic_training();
-  const auto selected = select_features(pools, {.target_count = 8});
+  const auto selected = select_features(pools);
   PipelineOptions options;
   options.selected_metrics = selected;
   const auto cm = cross_validate(pools, options, 4, 11);

@@ -126,9 +126,7 @@ TEST_F(HealthPipelineTest, HealthLayerIsObservationallyTransparent) {
 }
 
 TEST_F(HealthPipelineTest, DriftStaysSilentOnStationaryCanonicalStream) {
-  obs::ModelHealthOptions options = core::make_health_options();
-  options.drift.stride = 4;
-  obs::ModelHealth health(options);
+  obs::ModelHealth health(core::make_health_options());
   core::OnlineClassifier classifier(*pipeline_);
   classifier.attach_health(&health);
 
@@ -155,9 +153,7 @@ TEST_F(HealthPipelineTest, DriftStaysSilentOnStationaryCanonicalStream) {
 }
 
 TEST_F(HealthPipelineTest, DriftFiresOnPhaseChangeStream) {
-  obs::ModelHealthOptions options = core::make_health_options();
-  options.drift.stride = 4;
-  obs::ModelHealth health(options);
+  obs::ModelHealth health(core::make_health_options());
   core::OnlineClassifier classifier(*pipeline_);
   classifier.attach_health(&health);
 

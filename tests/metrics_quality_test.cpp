@@ -76,13 +76,13 @@ TEST(SnapshotSanitizer, ImputesOutOfRangeSpikes) {
 }
 
 TEST(SnapshotSanitizer, FallsBackToTrainingMeansAfterTtl) {
-  SnapshotSanitizer sanitizer({.imputation_ttl_s = 10});
+  SnapshotSanitizer sanitizer;
   std::array<double, kMetricCount> means{};
   means[index_of(MetricId::kCpuUser)] = 33.0;
   sanitizer.set_fallback(means);
 
   EXPECT_TRUE(sanitizer.sanitize(snap(0)).ok());
-  Snapshot s = snap(25);  // last good observation is 25 s old, TTL is 10
+  Snapshot s = snap(85);  // last good observation is 85 s old, TTL is 60
   s.set(MetricId::kCpuUser, std::numeric_limits<double>::quiet_NaN());
   const SanitizeResult r = sanitizer.sanitize(s);
   EXPECT_EQ(r.verdict, SanitizeVerdict::kRepaired);
@@ -113,7 +113,7 @@ TEST(SnapshotSanitizer, RejectsDuplicates) {
 }
 
 TEST(SnapshotSanitizer, RejectsStaleReplays) {
-  SnapshotSanitizer sanitizer({.staleness_budget_s = 30});
+  SnapshotSanitizer sanitizer;  // 30 s staleness budget
   EXPECT_TRUE(sanitizer.sanitize(snap(100)).ok());
   const SanitizeResult stale = sanitizer.sanitize(snap(50));
   EXPECT_EQ(stale.verdict, SanitizeVerdict::kRejectedStale);
@@ -123,7 +123,7 @@ TEST(SnapshotSanitizer, RejectsStaleReplays) {
 }
 
 TEST(SnapshotSanitizer, QuarantinesMostlyGarbageSnapshots) {
-  SnapshotSanitizer sanitizer({.max_repair_fraction = 0.5});
+  SnapshotSanitizer sanitizer;  // quarantines above half repaired
   EXPECT_TRUE(sanitizer.sanitize(snap(0)).ok());
 
   Snapshot s = snap(5);
@@ -141,7 +141,7 @@ TEST(SnapshotSanitizer, QuarantinesMostlyGarbageSnapshots) {
 }
 
 TEST(SnapshotSanitizer, PerNodeStateIsIndependent) {
-  SnapshotSanitizer sanitizer({.staleness_budget_s = 30});
+  SnapshotSanitizer sanitizer;  // 30 s staleness budget
   EXPECT_TRUE(sanitizer.sanitize(snap(1000, "a")).ok());
   // Node b starting at time 0 is not stale relative to node a's clock.
   EXPECT_TRUE(sanitizer.sanitize(snap(0, "b")).ok());

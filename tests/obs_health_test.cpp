@@ -70,19 +70,6 @@ class Lcg {
   std::uint64_t state_;
 };
 
-/// Default-sized windows with a tighter rescore stride. The window/bins
-/// ratio matters: stationary PSI noise has mean ~ (bins-1) * (1/window +
-/// 1/reference_window) ~= 0.08 here, comfortably under the 0.25 fire
-/// threshold; shrinking the window much further would make silence flaky.
-obs::DriftOptions small_drift_options() {
-  obs::DriftOptions options;
-  options.reference_window = 256;
-  options.window = 128;
-  options.bins = 8;
-  options.stride = 4;
-  return options;
-}
-
 /// Feeds `n` 2-D samples centred at (x, y) with +-0.5 jitter.
 void feed(obs::DriftDetector& detector, Lcg& rng, std::size_t n, double x,
           double y) {
@@ -93,23 +80,23 @@ void feed(obs::DriftDetector& detector, Lcg& rng, std::size_t n, double x,
 }
 
 TEST(DriftDetector, StationaryStreamStaysSilent) {
-  obs::DriftDetector detector(small_drift_options());
+  obs::DriftDetector detector;
   Lcg rng(1);
   feed(detector, rng, 600, 0.0, 0.0);
   EXPECT_TRUE(detector.reference_ready());
   EXPECT_EQ(detector.events(), 0u);
   EXPECT_FALSE(detector.drifting(0) || detector.drifting(1));
-  EXPECT_LT(detector.max_score(), detector.options().fire_threshold);
+  EXPECT_LT(detector.max_score(), obs::DriftDetector::kFireThreshold);
 }
 
 TEST(DriftDetector, PhaseChangeFiresOnceAndClearsWithHysteresis) {
-  obs::DriftDetector detector(small_drift_options());
+  obs::DriftDetector detector;
   std::size_t fired = 0;
   std::size_t fired_component = 99;
   detector.on_drift([&](std::size_t component, double score) {
     ++fired;
     fired_component = component;
-    EXPECT_GE(score, detector.options().fire_threshold);
+    EXPECT_GE(score, obs::DriftDetector::kFireThreshold);
   });
 
   Lcg rng(2);
@@ -123,7 +110,7 @@ TEST(DriftDetector, PhaseChangeFiresOnceAndClearsWithHysteresis) {
   EXPECT_EQ(fired, 1u);
   EXPECT_EQ(fired_component, 0u);
   EXPECT_TRUE(detector.drifting(0));
-  EXPECT_GE(detector.score(0), detector.options().fire_threshold);
+  EXPECT_GE(detector.score(0), obs::DriftDetector::kFireThreshold);
 
   // Still drifted: no re-fire while in the drifting state (hysteresis).
   feed(detector, rng, 200, 6.0, 0.0);
@@ -139,7 +126,7 @@ TEST(DriftDetector, PhaseChangeFiresOnceAndClearsWithHysteresis) {
 
 TEST(DriftDetector, SameStreamSameScoresAndEvents) {
   const auto run = [] {
-    obs::DriftDetector detector(small_drift_options());
+    obs::DriftDetector detector;
     Lcg rng(3);
     feed(detector, rng, 400, 0.0, 0.0);
     feed(detector, rng, 200, 4.0, -2.0);
@@ -154,25 +141,23 @@ TEST(DriftDetector, SameStreamSameScoresAndEvents) {
 }
 
 TEST(DriftDetector, ExplicitReferenceSkipsWarmup) {
-  obs::DriftOptions options = small_drift_options();
-  obs::DriftDetector detector(options);
+  obs::DriftDetector detector;
   Lcg rng(4);
   std::vector<double> reference;
-  reference.reserve(2 * options.reference_window);
-  for (std::size_t i = 0; i < options.reference_window; ++i) {
+  for (std::size_t i = 0; i < 2 * detector.window(); ++i) {
     reference.push_back(rng.next() - 0.5);
     reference.push_back(rng.next() - 0.5);
   }
   detector.set_reference(reference, 2);
   EXPECT_TRUE(detector.reference_ready());
   // The stream never spends samples on warmup: a drifted stream fires as
-  // soon as the sliding window fills.
-  feed(detector, rng, options.window + options.stride, 7.0, 7.0);
+  // soon as the sliding window fills (plus one 16-sample rescore stride).
+  feed(detector, rng, detector.window() + 16, 7.0, 7.0);
   EXPECT_GE(detector.events(), 1u);
 }
 
 TEST(DriftDetector, JsonExposesComponentScores) {
-  obs::DriftDetector detector(small_drift_options());
+  obs::DriftDetector detector;
   Lcg rng(5);
   feed(detector, rng, 300, 1.0, 2.0);
   const std::string json = detector.to_json();
@@ -183,12 +168,9 @@ TEST(DriftDetector, JsonExposesComponentScores) {
 
 // ---------------------------------------------------------------- health
 
-obs::ModelHealthOptions small_health_options() {
+obs::ModelHealthOptions three_class_options() {
   obs::ModelHealthOptions options;
   options.class_names = {"idle", "cpu", "io"};
-  options.top_nodes = 2;
-  options.novel_window = 4;
-  options.drift = small_drift_options();
   return options;
 }
 
@@ -202,7 +184,7 @@ obs::HealthSample make_sample(std::string_view node, std::size_t cls) {
 }
 
 TEST(ModelHealth, PerClassAndPerNodeScorecards) {
-  obs::ModelHealth health(small_health_options());
+  obs::ModelHealth health(three_class_options());
   health.record(make_sample("10.0.0.1", 1));
   health.record(make_sample("10.0.0.1", 1));
   health.record(make_sample("10.0.0.2", 2));
@@ -219,20 +201,18 @@ TEST(ModelHealth, PerClassAndPerNodeScorecards) {
 }
 
 TEST(ModelHealth, NodeCardinalityIsBoundedIntoOther) {
-  obs::ModelHealth health(small_health_options());  // top_nodes = 2
-  health.record(make_sample("n1", 0));
-  health.record(make_sample("n2", 0));
-  health.record(make_sample("n3", 0));
-  health.record(make_sample("n4", 0));
+  obs::ModelHealth health(three_class_options());  // 16 scorecards
+  for (int n = 1; n <= 18; ++n)
+    health.record(make_sample("n" + std::to_string(n), 0));
   const std::string nodes = health.nodes_json();
-  EXPECT_NE(nodes.find("\"tracked\":2"), std::string::npos);
+  EXPECT_NE(nodes.find("\"tracked\":16"), std::string::npos);
   EXPECT_NE(nodes.find("\"overflowed\":2"), std::string::npos);
   EXPECT_NE(nodes.find("\"node\":\"other\",\"samples\":2"),
             std::string::npos);
 }
 
 TEST(ModelHealth, DegradedNodeFlipsStatusTo503Verdict) {
-  obs::ModelHealth health(small_health_options());
+  obs::ModelHealth health(three_class_options());
   health.record(make_sample("n1", 0));
   EXPECT_TRUE(health.status().healthy);
 
@@ -256,7 +236,7 @@ TEST(ModelHealth, DegradedNodeFlipsStatusTo503Verdict) {
 }
 
 TEST(ModelHealth, NovelFractionTracksRollingWindow) {
-  obs::ModelHealth health(small_health_options());  // novel_window = 4
+  obs::ModelHealth health(three_class_options());  // 256-sample window
   obs::HealthSample novel = make_sample("n1", 0);
   novel.novel = true;
   health.record(novel);
@@ -265,6 +245,9 @@ TEST(ModelHealth, NovelFractionTracksRollingWindow) {
   health.record(make_sample("n1", 0));
   health.record(make_sample("n1", 0));
   EXPECT_DOUBLE_EQ(health.novel_fraction(), 0.5);
+  // Fill the window: the two novel samples are 2 of the last 256.
+  for (int i = 0; i < 252; ++i) health.record(make_sample("n1", 0));
+  EXPECT_DOUBLE_EQ(health.novel_fraction(), 2.0 / 256.0);
   // Two more clean samples push the novel ones out of the window.
   health.record(make_sample("n1", 0));
   health.record(make_sample("n1", 0));
@@ -272,7 +255,7 @@ TEST(ModelHealth, NovelFractionTracksRollingWindow) {
 }
 
 TEST(ModelHealth, SummaryLineIsOneLine) {
-  obs::ModelHealth health(small_health_options());
+  obs::ModelHealth health(three_class_options());
   health.record(make_sample("n1", 1));
   const std::string line = health.summary_line();
   EXPECT_EQ(line.find('\n'), std::string::npos);
@@ -281,7 +264,7 @@ TEST(ModelHealth, SummaryLineIsOneLine) {
 }
 
 TEST(ModelHealth, DriftFeedReachesDetector) {
-  obs::ModelHealth health(small_health_options());
+  obs::ModelHealth health(three_class_options());
   std::size_t fired = 0;
   health.on_drift([&](std::size_t, double) { ++fired; });
   Lcg rng(6);

@@ -11,13 +11,12 @@
 namespace appclass::obs {
 namespace {
 
+/// Short window 10 s, so the long window is 120 s.
 SloOptions tight_options() {
   SloOptions options;
-  options.freshness_objective = 0.9;  // 10% budget: burn = error_rate * 10
+  options.objective = 0.9;  // 10% budget: burn = error_rate * 10
   options.freshness_threshold_s = 1.0;
-  options.availability_objective = 0.9;
   options.short_window_s = 10;
-  options.long_window_s = 100;
   return options;
 }
 
@@ -56,7 +55,7 @@ TEST(ObsSloTest, FreshnessThresholdSplitsGoodFromBad) {
 
 TEST(ObsSloTest, AlertOnlyWhenBothWindowsBurn) {
   SloTracker slo(tight_options());
-  // A burst of failures at t=100 trips both the 10s and 100s windows.
+  // A burst of failures at t=100 trips both the 10s and 120s windows.
   for (int i = 0; i < 20; ++i) slo.record_availability(false, 100);
   EXPECT_FALSE(slo.healthy(100));
   EXPECT_TRUE(slo.report(100).availability.burning);
@@ -88,7 +87,7 @@ TEST(ObsSloTest, RingEvictsSecondsBeyondTheLongWindow) {
   SloTracker slo(tight_options());
   for (int i = 0; i < 50; ++i) slo.record_availability(false, 100);
   // Advancing a full long window past the burst wipes every bucket.
-  const auto report = slo.report(100 + 100);
+  const auto report = slo.report(100 + 120);
   EXPECT_EQ(report.availability.long_window.bad, 0u);
   EXPECT_EQ(report.availability.long_window.good, 0u);
   EXPECT_TRUE(report.healthy);
@@ -114,7 +113,7 @@ TEST(ObsSloTest, JsonVerdictCarriesHealthAndBothWindows) {
   EXPECT_NE(json.find("\"freshness\":"), std::string::npos);
   EXPECT_NE(json.find("\"availability\":"), std::string::npos);
   EXPECT_NE(json.find("\"window_s\":10"), std::string::npos);
-  EXPECT_NE(json.find("\"window_s\":100"), std::string::npos);
+  EXPECT_NE(json.find("\"window_s\":120"), std::string::npos);
   EXPECT_NE(json.find("\"burning\":true"), std::string::npos);
   EXPECT_EQ(json.back(), '\n');
 

@@ -286,8 +286,7 @@ int cmd_info(const std::string& model_path) {
 int cmd_features() {
   std::printf("profiling training runs and ranking the 33 metrics...\n");
   const auto pools = core::collect_training_pools();
-  const auto selected = core::select_features(
-      pools, {.target_count = 8, .max_redundancy = 0.97});
+  const auto selected = core::select_features(pools);
   std::printf("auto-selected metrics:");
   for (const auto id : selected)
     std::printf(" %s", std::string(metrics::info(id).name).c_str());
