@@ -12,7 +12,7 @@
 //   health_drift  ModelHealth attached, drift detector live
 //
 // health_overhead = health_drift / baseline (the full layer's cost) and
-// drift_overhead = 1 + (drift observe() cost per sample) / (baseline
+// drift_overhead = 1 + (drift observe_batch() cost per sample) / (baseline
 // classify cost per sample). The drift cost is measured directly — a
 // tight loop feeding the detector the stream's own projected rows —
 // because estimating a ~1% delta as the ratio of two large noisy
@@ -160,8 +160,9 @@ int main(int argc, char** argv) {
   };
 
   // Direct drift-detector cost: replay the stream's own PCA coordinates
-  // through a detector in a tight loop. Same work per sample as the
-  // attached detector does inside record().
+  // through a detector in a tight loop, through the entry point serving
+  // uses — ModelHealth::record() queues rows and feeds observe_batch()
+  // kStride samples at a time, and so does this loop.
   std::vector<double> projected_rows;
   std::size_t components = 0;
   for (const auto& snapshot : stream) {
@@ -184,10 +185,14 @@ int main(int argc, char** argv) {
   for (int rep = 0; rep < kReps; ++rep) {
     obs::DriftDetector detector(core::make_health_options().drift_window);
     const double seconds = time_run([&] {
+      constexpr std::size_t kBatch = obs::DriftDetector::kStride;
       for (int pass = 0; pass < kDriftPasses; ++pass)
-        for (std::size_t i = 0; i < stream.size(); ++i)
-          detector.observe(std::span<const double>(
-              projected_rows.data() + i * components, components));
+        for (std::size_t i = 0; i < stream.size(); i += kBatch)
+          detector.observe_batch(
+              std::span<const double>(
+                  projected_rows.data() + i * components,
+                  std::min(kBatch, stream.size() - i) * components),
+              components);
     }) / kDriftPasses;
     drift_seconds = rep == 0 ? seconds : std::min(drift_seconds, seconds);
     const double classify_seconds = run_mode(modes[0], mode_labels[0]);

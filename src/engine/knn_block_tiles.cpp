@@ -42,6 +42,21 @@ void sq_pair(const double* c0, const double* c1, double q0, double q1,
 }
 
 APPCLASS_TILE_CLONES
+void box_gaps(const double* lo, const double* hi, double q, double* acc,
+              std::size_t count) {
+  for (std::size_t t = 0; t < count; ++t) {
+    // lo <= hi, so at most one side is positive and the sum is exact;
+    // written as two clamps because that form vectorizes.
+    double below = lo[t] - q;
+    double above = q - hi[t];
+    below = below > 0.0 ? below : 0.0;
+    above = above > 0.0 ? above : 0.0;
+    const double g = below + above;
+    acc[t] += g * g;
+  }
+}
+
+APPCLASS_TILE_CLONES
 void chunk_mins(const double* acc, std::size_t width, double* mins) {
   const std::size_t blocks = width / kMinChunk;
   for (std::size_t j = 0; j < blocks; ++j) {

@@ -30,6 +30,14 @@ void sq_pair(const double* c0, const double* c1, double q0, double q1,
 void sq_accumulate(const double* col, double q, double* acc,
                    std::size_t width);
 
+/// acc[t] += g^2 with g = max(0, lo[t] - q, q - hi[t]) for t in
+/// [0, count): one feature's term of each tile's box lower bound. For
+/// lo <= x <= hi, g rounds to at most |x - q|'s rounding and g^2 to at
+/// most (x - q)^2's, so the ascending-feature sum never exceeds a
+/// distance in the box.
+void box_gaps(const double* lo, const double* hi, double q, double* acc,
+              std::size_t count);
+
 /// Candidates per chunk_mins() block — the granularity at which the
 /// scan's selection loop can skip distances wholesale.
 inline constexpr std::size_t kMinChunk = 8;

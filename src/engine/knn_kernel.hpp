@@ -18,13 +18,20 @@
 // Ties in distance break toward the lower training index, matching
 // partial_sort over (distance, index) pairs.
 //
-// Precomputed norms: each point's L2 norm is computed at build time and
-// folded into per-tile [min, max] norm bounds. A tile whose whole norm
-// range is provably farther than the current k-th best — by the reverse
-// triangle inequality |q - x| >= | |q| - |x| | — is skipped without
-// touching its features. The bound is slackened by a relative epsilon so
-// floating-point rounding can never prune a point the exact scan would
-// keep.
+// Spatial packing: build() orders the training points by a k-d split —
+// at each node, a selection on the cell's widest side cuts the points at
+// a multiple of kTile — so every tile holds one compact cell of the
+// space, and records each tile's per-dimension [lo, hi] bounding box
+// plus the slot -> training-index map. A query computes every tile's box lower
+// bound sum_j max(0, lo_j - q_j, q_j - hi_j)^2, scans the lowest-bound
+// tile first, then skips each tile whose bound exceeds the current k-th
+// distance. The paper's classes are compact clusters in the projected
+// plane (Figure 3), so an in-cluster query scans a handful of tiles.
+// The prune is exact without any slack: for lo <= x, fl(lo - q) <=
+// fl(x - q), and rounded squaring and the ascending-feature sum are
+// monotone too, so the bound never exceeds a computed distance in the
+// tile. Hits carry the original training index, so ties break toward
+// the lower index whatever order the tiles are visited in.
 #pragma once
 
 #include <cstddef>
@@ -104,7 +111,9 @@ class BlockedKnnIndex {
     /// Per-8-candidate chunk minima of `acc`, filled by the scan so its
     /// selection loop can skip whole chunks (see top_k_scan).
     std::vector<double> chunk_mins;
-    /// Tiles skipped by the norm-bound prune since construction (or the
+    /// Per-tile box lower bounds of the current query.
+    std::vector<double> bounds;
+    /// Tiles skipped by the bounding-box prune since construction (or the
     /// caller's last reset); accumulates across queries so shard spans
     /// can report prune effectiveness.
     std::uint64_t pruned_tiles = 0;
@@ -113,7 +122,8 @@ class BlockedKnnIndex {
   BlockedKnnIndex() = default;
 
   /// Copies `points` (row-major, one training point per row) into the
-  /// blocked SoA layout. `k` is clamped to the point count at query time.
+  /// blocked SoA layout, packed into k-d tiles. Hits still report the
+  /// row of `points`. `k` is clamped to the point count at query time.
   void build(const linalg::Matrix& points,
              std::vector<core::ApplicationClass> labels, std::size_t k);
 
@@ -143,31 +153,30 @@ class BlockedKnnIndex {
 
  private:
   /// The one top-k scan behind both overloads: feature j of the query at
-  /// q[j * qstride]. The selection sweep tests 8-candidate chunks against
-  /// the current k-th distance before touching the insertion loop; only
-  /// provably-skippable work is skipped, so the hits are exactly the k
-  /// lexicographically smallest (distance, index) pairs.
+  /// q[j * qstride]. Tiles are visited nearest box first, and skipped
+  /// when their box bound exceeds the current k-th distance; within a
+  /// tile the selection sweep tests 8-candidate chunks against it before
+  /// touching the insertion loop. Only provably-skippable work is
+  /// skipped, so the hits are exactly the k lexicographically smallest
+  /// (distance, index) pairs.
   std::span<const Hit> top_k_scan(const double* q, std::size_t qstride,
                                   Scratch& scratch) const;
-  /// Squared distances of points [t0, t0+width) into scratch.acc. The
+  /// Squared distances of slots [t0, t0+width) into scratch.acc. The
   /// first feature stores rather than adding into a zeroed accumulator
   /// (0 + term == term for the non-negative per-feature terms, so the
   /// results are bit-identical to the ascending-feature sum).
   void tile_distances(const double* q, std::size_t qstride, std::size_t t0,
                       std::size_t width, std::vector<double>& acc) const;
-  /// Reverse-triangle-inequality lower bound of tile t for a query of
-  /// norm `qnorm`, squared like the distances and slackened for FP
-  /// safety; 0 when the tile cannot be pruned.
-  double tile_lower_bound(std::size_t t, double qnorm) const;
-  double query_norm(const double* q, std::size_t qstride) const;
 
   std::size_t dims_ = 0;
   std::size_t k_ = 3;
-  std::size_t padded_ = 0;           ///< point count rounded up to kTile
-  std::vector<double> features_;     ///< [dims_][padded_] feature-major
-  std::vector<double> tile_min_norm_;  ///< per tile, unsquared L2 norms
-  std::vector<double> tile_max_norm_;
-  std::vector<core::ApplicationClass> labels_;
+  std::size_t padded_ = 0;        ///< point count rounded up to kTile
+  std::size_t tiles_ = 0;         ///< padded_ / kTile
+  std::vector<double> features_;  ///< [dims_][padded_], slot order
+  std::vector<std::uint32_t> slot_index_;  ///< slot -> training index
+  std::vector<double> box_lo_;    ///< [dims_][tiles_] per-tile minima
+  std::vector<double> box_hi_;    ///< [dims_][tiles_] per-tile maxima
+  std::vector<core::ApplicationClass> labels_;  ///< training-index order
 };
 
 /// The seed's scalar query path, preserved verbatim as the ground truth

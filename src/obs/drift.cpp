@@ -1,6 +1,7 @@
 #include "obs/drift.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -15,9 +16,21 @@ namespace {
 constexpr double kEpsilon = 1e-4;
 /// PSI histogram buckets; edges are reference-window quantiles.
 constexpr std::size_t kBins = 10;
-/// Score recomputation stride in samples: events fire at the same stream
-/// positions modulo the stride, for a sixteenth of the rescore cost.
-constexpr std::size_t kStride = 16;
+
+/// Bucket of `value` against one component's kBins - 1 ascending edges:
+/// the count of edges <= value, NaN in the top bucket. Branch-free: the
+/// edge array is tiny and cache-hot, so a predictable linear pass beats
+/// binary search's mispredicted branches, and summing the compares as a
+/// tree rather than a running count keeps them off one serial chain.
+std::size_t bucket_of(const double* edges, double value) {
+  static_assert(kBins == 10, "the sum below covers nine edges");
+  const auto ge = [value, edges](std::size_t e) {
+    return static_cast<std::size_t>(value >= edges[e]);
+  };
+  const std::size_t below = ((ge(0) + ge(1)) + (ge(2) + ge(3))) +
+                            ((ge(4) + ge(5)) + (ge(6) + ge(7))) + ge(8);
+  return std::isnan(value) ? kBins - 1 : below;
+}
 
 Counter& events_counter() {
   return MetricsRegistry::global().counter("appclass_drift_events_total");
@@ -26,15 +39,7 @@ Counter& events_counter() {
 }  // namespace
 
 DriftDetector::DriftDetector(std::size_t window)
-    : window_(std::max(window, kBins)) {
-  count_prop_.resize(window_ + 1);
-  count_log_prop_.resize(window_ + 1);
-  const double total = static_cast<double>(window_);
-  for (std::size_t k = 0; k <= window_; ++k) {
-    count_prop_[k] = std::max(static_cast<double>(k) / total, kEpsilon);
-    count_log_prop_[k] = std::log(count_prop_[k]);
-  }
-}
+    : window_(std::max(window, kBins)) {}
 
 void DriftDetector::ensure_components(std::size_t n) {
   if (!components_.empty()) return;
@@ -83,29 +88,28 @@ void DriftDetector::freeze_component(std::size_t component,
   }
   // Reference proportions of the same sample through the frozen edges.
   std::vector<std::uint32_t> counts(kBins, 0);
-  for (const double v : values) ++counts[bucket_of(component, v)];
-  c.reference.resize(kBins);
-  c.log_reference.resize(kBins);
+  for (const double v : values) ++counts[bucket_of(edges, v)];
+  // Each bucket's PSI term for every count in [0, window] the current
+  // window can hold it at.
+  std::array<double, kBins> reference;
+  std::array<double, kBins> log_reference;
   for (std::size_t b = 0; b < kBins; ++b) {
-    c.reference[b] = std::max(
+    reference[b] = std::max(
         static_cast<double>(counts[b]) / static_cast<double>(n), kEpsilon);
-    c.log_reference[b] = std::log(c.reference[b]);
+    log_reference[b] = std::log(reference[b]);
+  }
+  const std::size_t counts_per_bin = window_ + 1;
+  c.terms.resize(kBins * counts_per_bin);
+  for (std::size_t k = 0; k < counts_per_bin; ++k) {
+    const double current = std::max(
+        static_cast<double>(k) / static_cast<double>(window_), kEpsilon);
+    const double log_current = std::log(current);
+    for (std::size_t b = 0; b < kBins; ++b)
+      c.terms[b * counts_per_bin + k] =
+          (current - reference[b]) * (log_current - log_reference[b]);
   }
   c.warmup.clear();
   c.warmup.shrink_to_fit();
-}
-
-std::size_t DriftDetector::bucket_of(std::size_t component,
-                                     double value) const {
-  if (std::isnan(value)) return kBins - 1;
-  // Branchless count of edges <= value. The edge array is tiny (bins - 1
-  // doubles, always cache-hot), so a predictable linear pass beats binary
-  // search's mispredicted branches on the per-sample path.
-  const double* edges = &edges_[component * (kBins - 1)];
-  std::size_t b = 0;
-  for (std::size_t e = 0; e + 1 < kBins; ++e)
-    b += static_cast<std::size_t>(value >= edges[e]);
-  return b;
 }
 
 void DriftDetector::freeze_reference() {
@@ -117,41 +121,55 @@ void DriftDetector::freeze_reference() {
                     {"components", components_.size()});
 }
 
-void DriftDetector::observe(std::span<const double> projected) {
-  if (projected.empty()) return;
-  ensure_components(projected.size());
-  if (projected.size() != components_.size()) return;
-  ++samples_seen_;
-
-  if (!reference_ready_) {
-    for (std::size_t j = 0; j < components_.size(); ++j)
-      components_[j].warmup.push_back(projected[j]);
-    if (components_[0].warmup.size() >= 2 * window_)
-      freeze_reference();
-    return;
+void DriftDetector::observe_batch(std::span<const double> row_major,
+                                  std::size_t components) {
+  if (components == 0 || row_major.size() < components) return;
+  ensure_components(components);
+  if (components != components_.size()) return;
+  const std::size_t samples = row_major.size() / components;
+  const double* rows = row_major.data();
+  std::size_t i = 0;
+  for (; i < samples && !reference_ready_; ++i) {
+    ++samples_seen_;
+    for (std::size_t j = 0; j < components; ++j)
+      components_[j].warmup.push_back(rows[i * components + j]);
+    if (components_[0].warmup.size() >= 2 * window_) freeze_reference();
   }
+  // Runs end at the next rescore point or ring wrap, so the loop inside
+  // slide() carries no per-sample checks. The ring fills from slot 0,
+  // so a run never straddles the end of the fill either.
+  while (i < samples) {
+    const std::size_t run = std::min(
+        {samples - i, kStride - since_rescore_, window_ - ring_head_});
+    slide(rows + i * components, run);
+    i += run;
+    samples_seen_ += run;
+    if (ring_size_ < window_) ring_size_ += run;
+    ring_head_ += run;
+    if (ring_head_ == window_) ring_head_ = 0;
+    since_rescore_ += run;
+    if (since_rescore_ == kStride) {
+      since_rescore_ = 0;
+      rescore();
+    }
+  }
+}
 
+void DriftDetector::slide(const double* rows, std::size_t samples) {
   // The window slides in lockstep across components: one shared ring
-  // slot holds every component's bucket for this sample.
+  // slot holds every component's bucket for a sample.
   const std::size_t n = components_.size();
-  std::uint8_t* slot = &ring_[ring_head_ * n];
+  std::uint8_t* const slots = &ring_[ring_head_ * n];
   const bool evicting = ring_size_ == window_;
-  if (!evicting) ++ring_size_;
   for (std::size_t j = 0; j < n; ++j) {
-    const auto bucket =
-        static_cast<std::uint8_t>(bucket_of(j, projected[j]));
-    std::uint32_t* counts = &counts_[j * kBins];
-    if (evicting) --counts[slot[j]];
-    slot[j] = bucket;
-    ++counts[bucket];
-  }
-  // Compare-and-reset, not modulo: integer divisions are the single
-  // largest cost on this per-sample path.
-  if (++ring_head_ == window_) ring_head_ = 0;
-
-  if (++since_rescore_ >= kStride) {
-    since_rescore_ = 0;
-    rescore();
+    const double* const edges = &edges_[j * (kBins - 1)];
+    std::uint32_t* const counts = &counts_[j * kBins];
+    for (std::size_t s = 0; s < samples; ++s) {
+      std::uint8_t& slot = slots[s * n + j];
+      if (evicting) --counts[slot];
+      slot = static_cast<std::uint8_t>(bucket_of(edges, rows[s * n + j]));
+      ++counts[slot];
+    }
   }
 }
 
@@ -160,13 +178,12 @@ void DriftDetector::rescore() {
   for (std::size_t j = 0; j < components_.size(); ++j) {
     Component& c = components_[j];
     const std::uint32_t* counts = &counts_[j * kBins];
+    // counts[b] <= window, so every term is a table lookup: no
+    // divisions or logs on the streaming path.
+    const double* terms = c.terms.data();
     double psi = 0.0;
-    for (std::size_t b = 0; b < kBins; ++b) {
-      // counts[b] <= window, so both factors come from the tables: no
-      // divisions or logs on the streaming path.
-      psi += (count_prop_[counts[b]] - c.reference[b]) *
-             (count_log_prop_[counts[b]] - c.log_reference[b]);
-    }
+    for (std::size_t b = 0; b < kBins; ++b, terms += window_ + 1)
+      psi += terms[counts[b]];
     c.score = psi;
     c.score_gauge->set(psi);
     if (!c.drifting && psi >= kFireThreshold) {

@@ -22,8 +22,10 @@
 // score crosses kFireThreshold (invoking the on_drift callback once, on
 // the rising edge) and leaves it only when the score falls back below
 // kClearThreshold — so a score oscillating around the fire line cannot
-// ring the alarm every sample. Scores are recomputed every 16 samples,
-// keeping the per-sample cost to a ring-buffer update.
+// ring the alarm every sample. Scores are recomputed every kStride
+// samples, keeping the per-sample cost to a ring-buffer update, and
+// observe_batch() takes many samples per call so that update runs as
+// one tight loop: ModelHealth feeds it kStride samples at a time.
 //
 // Everything is a pure function of the observed stream: same stream,
 // same scores, same events — bit-reproducible, and free of any feedback
@@ -50,6 +52,10 @@ class DriftDetector {
   static constexpr double kFireThreshold = 0.25;
   /// Falling-edge threshold: score <= this leaves it (hysteresis band).
   static constexpr double kClearThreshold = 0.10;
+  /// Score recomputation stride in samples: events fire at the same
+  /// stream positions modulo the stride, for a sixteenth of the rescore
+  /// cost.
+  static constexpr std::size_t kStride = 16;
 
   /// `window` samples slide against a reference of 2 x `window`.
   explicit DriftDetector(std::size_t window = 128);
@@ -61,9 +67,17 @@ class DriftDetector {
   void set_reference(std::span<const double> row_major,
                      std::size_t components);
 
-  /// Feeds one projected sample (all components of one snapshot). The
-  /// first call fixes the component count; later calls must match it.
-  void observe(std::span<const double> projected);
+  /// Feeds projected samples (samples x components, row-major), with
+  /// exactly the effect of one observe() per sample. The first call
+  /// fixes the component count; a later batch of another count is
+  /// ignored.
+  void observe_batch(std::span<const double> row_major,
+                     std::size_t components);
+
+  /// Feeds one projected sample (all components of one snapshot).
+  void observe(std::span<const double> projected) {
+    observe_batch(projected, projected.size());
+  }
 
   void on_drift(DriftCallback callback) { callback_ = std::move(callback); }
 
@@ -89,10 +103,12 @@ class DriftDetector {
 
  private:
   struct Component {
-    /// Reference proportion per bucket (epsilon-floored).
-    std::vector<double> reference;
-    /// ln(reference[b]), cached at freeze so rescore() is log-free.
-    std::vector<double> log_reference;
+    /// PSI term of bucket b when the window holds k of its samples, at
+    /// [b * (window + 1) + k]: (p_cur - p_ref) * ln(p_cur / p_ref) with
+    /// both proportions epsilon-floored, precomputed at freeze so
+    /// rescore() is ten lookups and adds — no divisions or logs on the
+    /// streaming path.
+    std::vector<double> terms;
     double score = 0.0;
     bool drifting = false;
     /// Buffered raw values while the reference is self-freezing.
@@ -105,7 +121,9 @@ class DriftDetector {
   void ensure_components(std::size_t n);
   void freeze_reference();
   void freeze_component(std::size_t component, std::vector<double> values);
-  std::size_t bucket_of(std::size_t component, double value) const;
+  /// Slides the window over `samples` rows that neither cross a rescore
+  /// point nor wrap the ring.
+  void slide(const double* rows, std::size_t samples);
   void rescore();
 
   std::size_t window_;
@@ -126,12 +144,6 @@ class DriftDetector {
   std::vector<std::uint32_t> counts_;
   std::size_t ring_head_ = 0;
   std::size_t ring_size_ = 0;
-  /// Current-window bucket counts are integers in [0, window], so the
-  /// epsilon-floored proportion and its log are precomputed per count —
-  /// rescore() is then pure table arithmetic, no transcendental calls on
-  /// the streaming path.
-  std::vector<double> count_prop_;
-  std::vector<double> count_log_prop_;
   std::size_t samples_seen_ = 0;
   bool reference_ready_ = false;
   std::uint64_t events_ = 0;

@@ -72,12 +72,14 @@ ModelHealth::ModelHealth(ModelHealthOptions options)
 
 void ModelHealth::on_drift(DriftDetector::DriftCallback callback) {
   const std::lock_guard lock(mutex_);
+  flush_drift_locked();
   drift_.on_drift(std::move(callback));
 }
 
 void ModelHealth::set_drift_reference(std::span<const double> row_major,
                                       std::size_t components) {
   const std::lock_guard lock(mutex_);
+  flush_drift_locked();
   drift_.set_reference(row_major, components);
 }
 
@@ -158,7 +160,24 @@ void ModelHealth::record(const HealthSample& sample) {
 
   // Drift feed: the projected coordinates of every classified snapshot.
   if (options_.drift_enabled && !sample.projected.empty())
-    drift_.observe(sample.projected);
+    queue_drift_locked(sample.projected);
+}
+
+void ModelHealth::queue_drift_locked(std::span<const double> projected) {
+  if (projected.size() != drift_components_) {
+    flush_drift_locked();
+    drift_components_ = projected.size();
+    drift_queue_.reserve(DriftDetector::kStride * drift_components_);
+  }
+  drift_queue_.insert(drift_queue_.end(), projected.begin(), projected.end());
+  if (drift_queue_.size() == DriftDetector::kStride * drift_components_)
+    flush_drift_locked();
+}
+
+void ModelHealth::flush_drift_locked() const {
+  if (drift_queue_.empty()) return;
+  drift_.observe_batch(drift_queue_, drift_components_);
+  drift_queue_.clear();
 }
 
 std::string ModelHealth::classes_json() const {
@@ -253,11 +272,13 @@ std::string ModelHealth::nodes_json() const {
 
 std::string ModelHealth::drift_json() const {
   const std::lock_guard lock(mutex_);
+  flush_drift_locked();
   return drift_.to_json();
 }
 
 ModelHealth::Status ModelHealth::status() const {
   const std::lock_guard lock(mutex_);
+  flush_drift_locked();
   Status status;
   std::ostringstream degraded;
   bool first = true;
@@ -287,6 +308,7 @@ ModelHealth::Status ModelHealth::status() const {
 
 std::string ModelHealth::summary_line() const {
   const std::lock_guard lock(mutex_);
+  flush_drift_locked();
   std::size_t degraded = other_.degraded ? 1u : 0u;
   for (const auto& [name, node] : nodes_)
     if (node.degraded) ++degraded;
@@ -314,6 +336,7 @@ std::uint64_t ModelHealth::abstained() const {
 
 std::uint64_t ModelHealth::drift_events() const {
   const std::lock_guard lock(mutex_);
+  flush_drift_locked();
   return drift_.events();
 }
 

@@ -146,6 +146,12 @@ class ModelHealth {
   };
 
   NodeStats& node_stats_locked(std::string_view node_ip);
+  /// Queues one sample's projected coordinates for the drift detector,
+  /// handing it kStride samples per observe_batch() call.
+  void queue_drift_locked(std::span<const double> projected);
+  /// Feeds the queued samples to the detector; every drift reader calls
+  /// it first, so what they report covers every recorded sample.
+  void flush_drift_locked() const;
   void append_node_json(std::ostream& out, const std::string& name,
                         const NodeStats& node) const;
 
@@ -155,7 +161,12 @@ class ModelHealth {
   BoundedLabelSet node_labels_;
   std::map<std::string, NodeStats, std::less<>> nodes_;
   NodeStats other_;
-  DriftDetector drift_;
+  // The detector and its queue are logically one: const readers fold
+  // the queued rows in before reading (under mutex_).
+  mutable DriftDetector drift_;
+  /// Row-major samples not yet fed to drift_, drift_components_ each.
+  mutable std::vector<double> drift_queue_;
+  std::size_t drift_components_ = 0;
   std::uint64_t samples_ = 0;
   std::uint64_t abstained_ = 0;
   /// Rolling novelty ring behind the novel-fraction gauge.

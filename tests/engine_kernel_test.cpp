@@ -34,14 +34,27 @@ std::vector<core::ApplicationClass> cycling_labels(std::size_t n) {
   return labels;
 }
 
-void expect_matches_reference(std::size_t n, std::size_t dims, std::size_t k,
-                              std::uint32_t seed) {
-  const linalg::Matrix points = random_points(n, dims, seed);
-  BlockedKnnIndex index;
-  index.build(points, cycling_labels(n), k);
-  BlockedKnnIndex::Scratch scratch;
+/// Five tight clusters laid out like the paper's Figure 3 (one per
+/// class, far apart in the projected plane).
+linalg::Matrix clustered_points(std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::normal_distribution<double> noise(0.0, 0.3);
+  linalg::Matrix m(n, 2);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double c = static_cast<double>(r % 5);
+    m(r, 0) = 4.0 * c + noise(rng);
+    m(r, 1) = 3.0 * static_cast<double>(r % 2) + noise(rng);
+  }
+  return m;
+}
 
-  const linalg::Matrix queries = random_points(64, dims, seed + 1);
+/// Every query row of `queries` against the reference scan, bit for bit:
+/// same distances, same indices, same order.
+void expect_queries_match(const linalg::Matrix& points,
+                          const linalg::Matrix& queries, std::size_t k) {
+  BlockedKnnIndex index;
+  index.build(points, cycling_labels(points.rows()), k);
+  BlockedKnnIndex::Scratch scratch;
   for (std::size_t r = 0; r < queries.rows(); ++r) {
     const auto q = queries.row(r);
     const auto hits = index.top_k(q, scratch);
@@ -51,11 +64,19 @@ void expect_matches_reference(std::size_t n, std::size_t dims, std::size_t k,
       // Bit-identical, not approximately equal: both paths must sum the
       // per-feature terms in the same order.
       EXPECT_EQ(hits[i].distance, expected[i].distance)
-          << "n=" << n << " k=" << k << " query=" << r << " rank=" << i;
+          << "n=" << points.rows() << " k=" << k << " query=" << r
+          << " rank=" << i;
       EXPECT_EQ(hits[i].index, expected[i].index)
-          << "n=" << n << " k=" << k << " query=" << r << " rank=" << i;
+          << "n=" << points.rows() << " k=" << k << " query=" << r
+          << " rank=" << i;
     }
   }
+}
+
+void expect_matches_reference(std::size_t n, std::size_t dims, std::size_t k,
+                              std::uint32_t seed) {
+  expect_queries_match(random_points(n, dims, seed),
+                       random_points(64, dims, seed + 1), k);
 }
 
 TEST(EngineKernel, MatchesReferenceAcrossTileBoundaries) {
@@ -70,11 +91,13 @@ TEST(EngineKernel, MatchesReferenceAcrossTileBoundaries) {
 TEST(EngineKernel, MatchesReferenceAcrossDimensions) {
   // dims = 1 runs only the first-feature store, 3 and 8 the store plus
   // accumulate sweeps; the fused two-feature pass is the tile-boundary
-  // test above.
+  // test above. 40 tiles and a partial one give the k-d packing several
+  // levels of splits on every axis.
   const std::size_t tile = BlockedKnnIndex::kTile;
   for (const std::size_t dims : {std::size_t{1}, std::size_t{3},
                                  std::size_t{8}}) {
-    for (const std::size_t n : {std::size_t{5}, tile, 2 * tile + 17}) {
+    for (const std::size_t n :
+         {std::size_t{5}, tile, 2 * tile + 17, 40 * tile + 17}) {
       expect_matches_reference(n, dims, 3,
                                static_cast<std::uint32_t>(100 + n + dims));
     }
@@ -100,10 +123,11 @@ TEST(EngineKernel, KLargerThanPointCountIsClamped) {
 TEST(EngineKernel, SelfDistanceIsExactlyZero) {
   // The kernel accumulates squared differences directly (no norm-trick
   // expansion), so a training point queried against itself must come back
-  // at distance exactly 0.0 — the novelty tests depend on this.
-  const linalg::Matrix points = random_points(700, 2, 42);
+  // at distance exactly 0.0 — the novelty tests depend on this — and
+  // under its own row index, not the slot the packing moved it to.
+  const linalg::Matrix points = random_points(12 * BlockedKnnIndex::kTile, 2, 42);
   BlockedKnnIndex index;
-  index.build(points, cycling_labels(700), 3);
+  index.build(points, cycling_labels(points.rows()), 3);
   BlockedKnnIndex::Scratch scratch;
   for (std::size_t r = 0; r < points.rows(); r += 13) {
     const auto hits = index.top_k(points.row(r), scratch);
@@ -114,8 +138,8 @@ TEST(EngineKernel, SelfDistanceIsExactlyZero) {
 
 TEST(EngineKernel, PruningNeverChangesResults) {
   // Two tight clusters very far apart: querying inside one cluster makes
-  // the other cluster's tiles prunable via the norm bounds. The pruned
-  // scan must still return exactly what the reference scan returns.
+  // the other cluster's tiles prunable via their boxes. The pruned scan
+  // must still return exactly what the reference scan returns.
   std::mt19937 rng(99);
   std::normal_distribution<double> noise(0.0, 0.01);
   const std::size_t half = 2 * BlockedKnnIndex::kTile;
@@ -128,16 +152,90 @@ TEST(EngineKernel, PruningNeverChangesResults) {
     points(r, 0) = 1000.0 + noise(rng);
     points(r, 1) = 1000.0 + noise(rng);
   }
+  linalg::Matrix queries(0, 2);
+  for (std::size_t r = 0; r < 2 * half; r += 37) queries.append_row(points.row(r));
+  expect_queries_match(points, queries, 3);
+}
+
+TEST(EngineKernel, EqualDistanceLowerIndexInLaterTileWins) {
+  // Figure-3-like clusters, moved to x >= ~29, plus two runs of exact
+  // duplicates two tiles long: B at (2, 0) holds the lowest training
+  // indices, A at (0, 0) the highest. The packing cuts on x, so A fills
+  // tiles 0-1 and B tiles 2-3. From (1, 0) every copy is at distance
+  // exactly 1 and all four boxes bound 1: the scan fills its k slots
+  // from A's tile first, B's tiles tie the k-th distance and must still
+  // be scanned (the prune is a strict '>'), and B's lower indices win.
+  const std::size_t tile = BlockedKnnIndex::kTile;
+  const std::size_t n = 12 * tile;
+  linalg::Matrix points = clustered_points(n, 5);
+  for (std::size_t r = 0; r < n; ++r) points(r, 0) += 30.0;
+  for (std::size_t r = 0; r < 2 * tile; ++r) {
+    points(r, 0) = 2.0;
+    points(r, 1) = 0.0;
+    points(n - 1 - r, 0) = 0.0;
+    points(n - 1 - r, 1) = 0.0;
+  }
+  const linalg::Matrix queries{{1.0, 0.0}, {2.0, 0.0}, {0.0, 0.0},
+                               {31.0, 0.0}};
+  for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{9}})
+    expect_queries_match(points, queries, k);
+
   BlockedKnnIndex index;
-  index.build(points, cycling_labels(2 * half), 3);
+  index.build(points, cycling_labels(n), 3);
   BlockedKnnIndex::Scratch scratch;
-  for (std::size_t r = 0; r < 2 * half; r += 37) {
+  const auto hits = index.top_k(std::vector<double>{1.0, 0.0}, scratch);
+  ASSERT_EQ(hits.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(hits[i].distance, 1.0);
+    EXPECT_EQ(hits[i].index, i);
+  }
+}
+
+TEST(EngineKernel, QueryFarOutsideEveryBoxMatchesReference) {
+  const linalg::Matrix points = clustered_points(20 * BlockedKnnIndex::kTile, 6);
+  const linalg::Matrix queries{
+      {1e6, -1e6}, {-1e6, 3.0}, {8.0, 1e9}, {-1e-300, 1e300}};
+  expect_queries_match(points, queries, 3);
+}
+
+TEST(EngineKernel, DegenerateLayoutsMatchReference) {
+  const std::size_t n = 9 * BlockedKnnIndex::kTile + 3;
+  const linalg::Matrix queries = random_points(64, 2, 8);
+  // All points on one line (x extent zero, then a slanted line).
+  linalg::Matrix vertical = random_points(n, 2, 7);
+  for (std::size_t r = 0; r < n; ++r) vertical(r, 0) = 1.5;
+  expect_queries_match(vertical, queries, 3);
+  linalg::Matrix slanted = random_points(n, 2, 9);
+  for (std::size_t r = 0; r < n; ++r) slanted(r, 1) = 3.0 * slanted(r, 0) - 1.0;
+  expect_queries_match(slanted, queries, 3);
+  // Input pre-sorted descending on both axes.
+  linalg::Matrix sorted(n, 2);
+  for (std::size_t r = 0; r < n; ++r) {
+    sorted(r, 0) = 5.0 - 10.0 * static_cast<double>(r) / static_cast<double>(n);
+    sorted(r, 1) = sorted(r, 0) * 0.5;
+  }
+  expect_queries_match(sorted, queries, 3);
+  // Every point identical: one box, all ties.
+  linalg::Matrix same(n, 2);
+  for (std::size_t r = 0; r < n; ++r) same(r, 0) = 0.25, same(r, 1) = -0.5;
+  expect_queries_match(same, queries, 5);
+}
+
+TEST(EngineKernel, InClusterQuerySkipsNearlyEveryTile) {
+  // The count behind the packed kernel's speed-up, deterministic where a
+  // timing is not: on clustered data a query inside a cluster scans its
+  // nearest box and the few boxes that touch its k-th distance, and
+  // prunes at least 90% of the rest.
+  const std::size_t tiles = 80;
+  const linalg::Matrix points = clustered_points(tiles * BlockedKnnIndex::kTile, 11);
+  BlockedKnnIndex index;
+  index.build(points, cycling_labels(points.rows()), 3);
+  BlockedKnnIndex::Scratch scratch;
+  for (std::size_t r = 0; r < points.rows(); r += 997) {
+    scratch.pruned_tiles = 0;
     const auto hits = index.top_k(points.row(r), scratch);
-    const auto expected = engine::reference_top_k(points, points.row(r), 3);
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].distance, expected[i].distance);
-      EXPECT_EQ(hits[i].index, expected[i].index);
-    }
+    EXPECT_EQ(hits[0].index, r);
+    EXPECT_GE(scratch.pruned_tiles, tiles * 9 / 10) << "query row " << r;
   }
 }
 

@@ -156,6 +156,49 @@ TEST(DriftDetector, ExplicitReferenceSkipsWarmup) {
   EXPECT_GE(detector.events(), 1u);
 }
 
+TEST(DriftDetector, BatchFeedMatchesPerSampleFeed) {
+  // observe_batch() has exactly the effect of one observe() per row,
+  // whatever the batch boundaries: warm-up, freeze, ring wrap and
+  // rescore points all land inside batches here (window 40 is not a
+  // multiple of the 16-sample stride).
+  std::vector<double> rows;
+  Lcg rng(6);
+  for (std::size_t i = 0; i < 900; ++i) {
+    const double shift = i >= 400 && i < 650 ? 5.0 : 0.0;
+    rows.push_back(shift + rng.next() - 0.5);
+    rows.push_back(rng.next() - 0.5);
+  }
+  rows.push_back(std::nan(""));
+  rows.push_back(0.0);
+  const std::size_t samples = rows.size() / 2;
+
+  obs::DriftDetector single(40);
+  std::vector<std::size_t> single_events;
+  single.on_drift([&](std::size_t, double) {
+    single_events.push_back(single.samples_seen());
+  });
+  for (std::size_t i = 0; i < samples; ++i)
+    single.observe(std::span<const double>(&rows[2 * i], 2));
+  ASSERT_GE(single.events(), 1u);
+
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{16}, std::size_t{37},
+                                  samples}) {
+    obs::DriftDetector batched(40);
+    std::vector<std::size_t> batched_events;
+    batched.on_drift([&](std::size_t, double) {
+      batched_events.push_back(batched.samples_seen());
+    });
+    for (std::size_t i = 0; i < samples; i += batch) {
+      const std::size_t rows_here = std::min(batch, samples - i);
+      batched.observe_batch(
+          std::span<const double>(&rows[2 * i], 2 * rows_here), 2);
+    }
+    EXPECT_EQ(batched.to_json(), single.to_json()) << "batch " << batch;
+    EXPECT_EQ(batched_events, single_events) << "batch " << batch;
+  }
+}
+
 TEST(DriftDetector, JsonExposesComponentScores) {
   obs::DriftDetector detector;
   Lcg rng(5);
@@ -285,6 +328,52 @@ TEST(ModelHealth, DriftFeedReachesDetector) {
   EXPECT_EQ(fired, health.drift_events());
   EXPECT_NE(health.drift_json().find("\"drifting\":true"),
             std::string::npos);
+}
+
+TEST(ModelHealth, QueuedDriftRowsMatchPerSampleDetector) {
+  // record() queues projected rows and feeds the detector 16 at a time.
+  // With the default 128-sample window the reference freezes on a
+  // stride boundary, so rising edges fire in the same record() call as
+  // with one observe() per sample; and every drift reader first feeds
+  // the queued rows, so mid-stride reads see every recorded sample.
+  Lcg rng(8);
+  std::vector<double> rows;
+  for (std::size_t i = 0; i < 1000; ++i) {
+    rows.push_back(((i / 250) % 2 == 1 ? 6.0 : 0.0) + rng.next());
+    rows.push_back(rng.next());
+  }
+  obs::DriftDetector reference;
+  std::vector<std::size_t> reference_fires;
+  std::size_t at = 0;
+  reference.on_drift(
+      [&](std::size_t, double) { reference_fires.push_back(at); });
+  obs::ModelHealth health(three_class_options());
+  std::vector<std::size_t> health_fires;
+  health.on_drift([&](std::size_t, double) { health_fires.push_back(at); });
+  for (at = 0; at < 1000; ++at) {
+    const std::span<const double> projected(&rows[2 * at], 2);
+    reference.observe(projected);
+    obs::HealthSample sample = make_sample("n1", 0);
+    sample.projected = projected;
+    health.record(sample);
+  }
+  ASSERT_GE(reference_fires.size(), 2u);
+  EXPECT_EQ(health_fires, reference_fires);
+  EXPECT_EQ(health.drift_json(), reference.to_json());
+
+  obs::ModelHealth read_often(three_class_options());
+  obs::DriftDetector per_sample;
+  for (std::size_t i = 0; i < 1000; ++i) {
+    const std::span<const double> projected(&rows[2 * i], 2);
+    per_sample.observe(projected);
+    obs::HealthSample sample = make_sample("n1", 0);
+    sample.projected = projected;
+    read_often.record(sample);
+    if (i % 23 == 5) {
+      ASSERT_EQ(read_often.drift_json(), per_sample.to_json()) << i;
+      ASSERT_EQ(read_often.drift_events(), per_sample.events()) << i;
+    }
+  }
 }
 
 }  // namespace
