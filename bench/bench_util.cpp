@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "core/robustness.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "sim/testbed.hpp"
@@ -64,6 +65,21 @@ const core::ClassificationPipeline& trained_pipeline() {
   static const core::ClassificationPipeline pipeline =
       core::make_trained_pipeline();
   return pipeline;
+}
+
+std::vector<metrics::Snapshot> canonical_stream(std::size_t total) {
+  const auto runs = core::record_canonical_runs();
+  std::vector<metrics::Snapshot> stream;
+  stream.reserve(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    const auto& run = runs[i % runs.size()];
+    metrics::Snapshot snapshot =
+        run.announcements[(i / runs.size()) % run.announcements.size()];
+    snapshot.time = static_cast<metrics::SimTime>(i / runs.size()) * 5;
+    snapshot.node_ip = "10.0.0." + std::to_string(1 + i % runs.size());
+    stream.push_back(std::move(snapshot));
+  }
+  return stream;
 }
 
 void print_composition_header() {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/pipeline.hpp"
 #include "core/trainer.hpp"
@@ -21,6 +22,11 @@ monitor::ProfiledRun profile_standalone(const std::string& app_name,
 /// Trains the paper's classifier once (memoized across calls within the
 /// process) and returns a reference to it.
 const core::ClassificationPipeline& trained_pipeline();
+
+/// `total` grid-aligned snapshots cycling the five canonical runs'
+/// recorded announcements across node IPs 10.0.0.1-5: each node sees a
+/// dense 5 s grid (t = 0, 5, 10, ...), so windows stay fully covered.
+std::vector<metrics::Snapshot> canonical_stream(std::size_t total);
 
 /// Prints "name  #samples  idle%  io%  cpu%  net%  mem%  class" rows.
 void print_composition_row(const std::string& label,

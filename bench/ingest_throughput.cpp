@@ -14,58 +14,64 @@
 // pins them to exactly zero.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <new>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/assert.hpp"
 #include "core/composition.hpp"
 #include "core/online.hpp"
 #include "core/pipeline.hpp"
 #include "engine/fleet.hpp"
 #include "engine/knn_kernel.hpp"
+#include "harness.hpp"
 #include "linalg/random.hpp"
 #include "monitor/bus.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter (same idiom as tests/engine_ingest_test.cpp):
 // every operator-new form funnels through malloc with a relaxed count.
+// Nothrow new is replaced too (std::stable_sort's temporary buffer uses
+// it), so every block reaching the free() below came from malloc —
+// sanitizer builds abort on a mismatched pair.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 
-void* counted_alloc(std::size_t size) {
+/// nullptr on failure; the throwing forms turn that into bad_alloc.
+void* counted_alloc(std::size_t size, std::size_t align = 0) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
+  if (align == 0) return std::malloc(size ? size : 1);
+  void* p = nullptr;
+  return posix_memalign(&p, align, size ? size : align) == 0 ? p : nullptr;
 }
 
-void* counted_aligned_alloc(std::size_t size, std::size_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, align, size ? size : align) != 0)
-    throw std::bad_alloc();
+void* checked(void* p) {
+  if (!p) throw std::bad_alloc();
   return p;
 }
 }  // namespace
 
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size) { return checked(counted_alloc(size)); }
+void* operator new[](std::size_t size) { return checked(counted_alloc(size)); }
 void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
+  return checked(counted_alloc(size, static_cast<std::size_t>(align)));
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(align));
+  return checked(counted_alloc(size, static_cast<std::size_t>(align)));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -84,16 +90,9 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace {
 
 using namespace appclass;
-using Clock = std::chrono::steady_clock;
 
 std::uint64_t allocations() {
   return g_allocations.load(std::memory_order_relaxed);
-}
-
-double time_run(const std::function<void()>& fn) {
-  const auto t0 = Clock::now();
-  fn();
-  return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
 /// Compact synthetic training set (the online hot path is dominated by
@@ -391,20 +390,8 @@ bool same_state(const core::OnlineStateImage& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_ingest.json";
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--quick")) {
-      quick = true;
-    } else if (!std::strncmp(argv[i], "--out=", 6)) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr,
-                   "usage: ingest_throughput [--quick] [--out=file.json]\n");
-      return 2;
-    }
-  }
-  bench::dump_registry_at_exit();
+  const bench::Args args = bench::parse_args(
+      argc, argv, "ingest_throughput", "BENCH_ingest.json");
 
   core::ClassificationPipeline pipeline;
   pipeline.train(synthetic_training(20));
@@ -414,8 +401,7 @@ int main(int argc, char** argv) {
   // announce→push→drain→ingest machinery.
   const std::size_t kNodes = 16;
   const std::size_t kPerCycle = 8;  // grid steps (= drains) per cycle
-  const std::size_t cycles = quick ? 400 : 4000;
-  const std::size_t warm_cycles = 20;
+  const std::size_t round_cycles = args.quick ? 40 : 400;
   core::OnlineOptions options;
   // Gmond's default cadence: every node announces once per second while
   // the classification grid samples every sampling_interval_s (5s), so
@@ -503,8 +489,23 @@ int main(int argc, char** argv) {
     return drained;
   };
 
-  for (std::size_t i = 0; i < warm_cycles; ++i) legacy_cycle();
-  for (std::size_t i = 0; i < warm_cycles; ++i) fleet_cycle();
+  // The two paths alternate round by round (harness.hpp), so a shared
+  // host's slow and fast phases land on both nearly equally.
+  std::size_t legacy_drained = 0;
+  std::size_t fleet_drained = 0;
+  const auto seconds = bench::time_interleaved({
+      [&] {
+        for (std::size_t i = 0; i < round_cycles; ++i)
+          legacy_drained += legacy_cycle();
+      },
+      [&] {
+        for (std::size_t i = 0; i < round_cycles; ++i)
+          fleet_drained += fleet_cycle();
+      },
+  });
+  const std::size_t round_drained = round_cycles * per_drain;
+  APPCLASS_ENSURES(legacy_drained == (bench::kRounds + 1) * round_drained);
+  APPCLASS_ENSURES(fleet_drained == legacy_drained);
 
   // Steady-state allocation probe: exact operator-new count across a
   // measured slice of warmed cycles (the reference path runs the same
@@ -516,30 +517,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < alloc_probe_cycles; ++i)
     probe_drained += fleet_cycle();
   const std::uint64_t alloc_delta = allocations() - allocs_before;
-  const double allocs_per_snapshot =
-      static_cast<double>(alloc_delta) / static_cast<double>(probe_drained);
   for (std::size_t i = 0; i < alloc_probe_cycles; ++i) legacy_cycle();
-
-  // Paired interleaved timing: the two paths alternate in short blocks,
-  // so a shared host's slow and fast phases land on both paths nearly
-  // equally instead of skewing whichever side happened to run second.
-  const std::size_t block_cycles = 50;
-  std::size_t legacy_drained = 0;
-  std::size_t fleet_drained = 0;
-  double legacy_seconds = 0.0;
-  double fleet_seconds = 0.0;
-  for (std::size_t done = 0; done < cycles;) {
-    const std::size_t block = std::min(block_cycles, cycles - done);
-    legacy_seconds += time_run([&] {
-      for (std::size_t i = 0; i < block; ++i) legacy_drained += legacy_cycle();
-    });
-    fleet_seconds += time_run([&] {
-      for (std::size_t i = 0; i < block; ++i) fleet_drained += fleet_cycle();
-    });
-    done += block;
-  }
-  APPCLASS_ENSURES(legacy_drained == cycles * per_drain);
-  APPCLASS_ENSURES(fleet_drained == cycles * per_drain);
   fleet.detach();
 
   // --- Bit-identity: both paths saw the same stream (same times, same
@@ -549,44 +527,31 @@ int main(int argc, char** argv) {
                                         fleet.online().export_state());
   APPCLASS_ENSURES(bit_identical);
 
-  const double legacy_ps = static_cast<double>(legacy_drained) /
-                           legacy_seconds;
-  const double fleet_ps = static_cast<double>(fleet_drained) / fleet_seconds;
-  const double speedup = fleet_ps / legacy_ps;
-
-  std::printf("%-22s %12s %10s %14s\n", "path", "snapshots", "seconds",
-              "snapshots/sec");
-  std::printf("%-22s %12zu %10.4f %14.0f\n", "reference(pre-ring)",
-              legacy_drained, legacy_seconds, legacy_ps);
-  std::printf("%-22s %12zu %10.4f %14.0f\n", "ring(zero-alloc)",
-              fleet_drained, fleet_seconds, fleet_ps);
-  std::printf("\ningest speedup over reference: %.2fx\n", speedup);
-  std::printf("steady-state allocations per drained snapshot: %.4f "
-              "(%llu allocations / %zu snapshots)\n",
-              allocs_per_snapshot,
-              static_cast<unsigned long long>(alloc_delta), probe_drained);
-  std::printf("bit-identical online state: %s\n",
-              bit_identical ? "yes" : "NO");
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"ingest_throughput\",\n");
-  std::fprintf(out, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(out, "  \"snapshots_per_sec_reference\": %.1f,\n", legacy_ps);
-  std::fprintf(out, "  \"snapshots_per_sec_ring\": %.1f,\n", fleet_ps);
-  std::fprintf(out, "  \"ingest_speedup\": %.3f,\n", speedup);
-  std::fprintf(out, "  \"steady_state_allocs_per_snapshot\": %.4f,\n",
-               allocs_per_snapshot);
-  std::fprintf(out, "  \"steady_state_alloc_count\": %llu,\n",
-               static_cast<unsigned long long>(alloc_delta));
-  std::fprintf(out, "  \"alloc_probe_snapshots\": %zu,\n", probe_drained);
-  std::fprintf(out, "  \"bit_identical\": %s\n", bit_identical ? "true"
-                                                               : "false");
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  // Total drained over total seconds of the timed rounds.
+  const double timed_drained =
+      static_cast<double>(bench::kRounds * round_drained);
+  const auto total = [](const std::vector<double>& v) {
+    return std::accumulate(v.begin(), v.end(), 0.0);
+  };
+  std::vector<bench::Fields> rows;
+  const char* const paths[] = {"reference(pre-ring)", "ring(zero-alloc)"};
+  for (std::size_t p = 0; p < 2; ++p)
+    rows.push_back(bench::Fields()
+                       .text("path", paths[p])
+                       .count("snapshots", round_drained)
+                       .timing(seconds[p], "snapshots_per_sec",
+                               static_cast<double>(round_drained)));
+  return bench::write_report(
+      args,
+      bench::Fields()
+          .num("snapshots_per_sec_reference", timed_drained / total(seconds[0]))
+          .num("snapshots_per_sec_ring", timed_drained / total(seconds[1]))
+          .num("ingest_speedup", bench::paired_ratio(seconds[0], seconds[1]))
+          .num("steady_state_allocs_per_snapshot",
+               static_cast<double>(alloc_delta) /
+                   static_cast<double>(probe_drained))
+          .count("steady_state_alloc_count", alloc_delta)
+          .count("alloc_probe_snapshots", probe_drained)
+          .flag("bit_identical", bit_identical),
+      rows);
 }

@@ -4,7 +4,7 @@
 //
 //   recovery_curve [--quick] [--out=BENCH_recovery.json]
 //
-// For each fsync policy (always, interval, never) the harness forks a
+// For each fsync policy (always, interval, never) the bench forks a
 // worker that write-ahead logs + ingests a deterministic canonical
 // stream, checkpoints once mid-way, and SIGKILLs itself mid-ingest. The
 // parent then recovers from the surviving files, measuring wall-clock
@@ -17,17 +17,18 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/assert.hpp"
 #include "core/online.hpp"
-#include "core/robustness.hpp"
+#include "harness.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/recovery.hpp"
 #include "persist/wal.hpp"
@@ -35,20 +36,6 @@
 namespace {
 
 using namespace appclass;
-using Clock = std::chrono::steady_clock;
-
-struct Row {
-  std::string policy;
-  std::size_t sync_every = 0;
-  std::size_t ingested_at_kill = 0;
-  std::uint64_t recovered = 0;
-  std::uint64_t lost = 0;
-  bool bound_ok = true;
-  bool checkpoint_loaded = false;
-  std::uint64_t replayed = 0;
-  double recovery_seconds = 0.0;
-  double wal_append_per_sec = 0.0;
-};
 
 /// Canonical byte image of a classifier's full online state (the
 /// checkpoint encoding doubles as the bit-identity witness).
@@ -62,40 +49,16 @@ std::string state_image(const core::OnlineClassifier& online) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_recovery.json";
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--quick")) {
-      quick = true;
-    } else if (!std::strncmp(argv[i], "--out=", 6)) {
-      out_path = argv[i] + 6;
-    } else {
-      std::fprintf(stderr,
-                   "usage: recovery_curve [--quick] [--out=file.json]\n");
-      return 2;
-    }
-  }
-  bench::dump_registry_at_exit();
+  const bench::Args args = bench::parse_args(
+      argc, argv, "recovery_curve", "BENCH_recovery.json");
 
   const core::ClassificationPipeline& pipeline = bench::trained_pipeline();
-  const auto runs = core::record_canonical_runs();
-
-  // Deterministic grid-aligned stream cycling the five canonical
-  // workloads across five node IPs — identical bytes in the killed
-  // worker, the recovery, and the uninterrupted reference, because all
-  // three are built from the same recorded announcements.
-  const std::size_t total = quick ? 600 : 2500;
+  // Identical bytes in the killed worker, the recovery, and the
+  // uninterrupted reference, because all three replay one stream.
+  const std::size_t total = args.quick ? 600 : 2500;
   const std::size_t checkpoint_at = total / 2;
-  std::vector<metrics::Snapshot> stream;
-  stream.reserve(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    const auto& run = runs[i % runs.size()];
-    metrics::Snapshot snapshot =
-        run.announcements[(i / runs.size()) % run.announcements.size()];
-    snapshot.time = static_cast<metrics::SimTime>(i / runs.size()) * 5;
-    snapshot.node_ip = "10.0.0." + std::to_string(1 + i % runs.size());
-    stream.push_back(snapshot);
-  }
+  const std::vector<metrics::Snapshot> stream =
+      bench::canonical_stream(total);
 
   char tmpl[] = "/tmp/appclass_recovery_curve_XXXXXX";
   if (::mkdtemp(tmpl) == nullptr) {
@@ -110,30 +73,30 @@ int main(int argc, char** argv) {
       {.fsync = persist::FsyncPolicy::kNever},
   };
 
-  std::vector<Row> rows;
+  // Append throughput of the bare log under each policy — what the
+  // serving path pays per accepted snapshot for its durability level.
+  // Every run writes a fresh log directory.
+  std::filesystem::create_directories(scratch + "/throughput");
+  std::size_t append_runs = 0;
+  std::vector<std::function<void()>> appenders;
   for (const auto& wal_options : policies) {
-    Row row;
-    row.policy = std::string(persist::to_string(wal_options.fsync));
-    row.sync_every = wal_options.sync_every;
-    row.ingested_at_kill = total;
-    const std::string dir = scratch + "/" + row.policy;
-    std::filesystem::create_directories(dir);
+    appenders.push_back([&, wal_options] {
+      persist::WalWriter wal(
+          scratch + "/throughput/" + std::to_string(append_runs++),
+          wal_options, 0);
+      for (const auto& snapshot : stream) wal.append(snapshot);
+      wal.sync();
+    });
+  }
+  const auto append_seconds = bench::time_interleaved(appenders);
+  std::filesystem::remove_all(scratch + "/throughput");
 
-    // Append throughput of the bare log under this policy — what the
-    // serving path pays per accepted snapshot for its durability level.
-    {
-      const std::string tp_dir = dir + "/throughput";
-      const auto t0 = Clock::now();
-      {
-        persist::WalWriter wal(tp_dir, wal_options, 0);
-        for (const auto& snapshot : stream) wal.append(snapshot);
-        wal.sync();
-      }
-      const double seconds =
-          std::chrono::duration<double>(Clock::now() - t0).count();
-      row.wal_append_per_sec = static_cast<double>(total) / seconds;
-      std::filesystem::remove_all(tp_dir);
-    }
+  std::vector<bench::Fields> rows;
+  for (std::size_t p = 0; p < std::size(policies); ++p) {
+    const persist::WalOptions& wal_options = policies[p];
+    const std::string policy(persist::to_string(wal_options.fsync));
+    const std::string dir = scratch + "/" + policy;
+    std::filesystem::create_directories(dir);
 
     // Crash pass: the worker dies by SIGKILL mid-ingest — no destructor,
     // no flush — exactly what a node failure leaves on disk.
@@ -170,73 +133,47 @@ int main(int argc, char** argv) {
     core::OnlineClassifier recovered(pipeline);
     const persist::RecoveryReport report =
         persist::recover(dir, pipeline, recovered);
-    row.recovered = report.wal_next_seq;
-    row.lost = total - report.wal_next_seq;
-    row.checkpoint_loaded = report.checkpoint_loaded;
-    row.replayed = report.replayed;
-    row.recovery_seconds = report.seconds;
+    const std::uint64_t durable = report.wal_next_seq;
+    const std::uint64_t lost = total - durable;
 
     // The durable prefix must replay to bit-identical state, and the
     // loss must honour the policy's bound.
     core::OnlineClassifier reference(pipeline);
-    for (std::uint64_t i = 0; i < row.recovered; ++i)
+    for (std::uint64_t i = 0; i < durable; ++i)
       reference.ingest(stream[i], pipeline.classify(stream[i]));
     APPCLASS_ENSURES(state_image(recovered) == state_image(reference));
+    bool bound_ok = true;
     switch (wal_options.fsync) {
       case persist::FsyncPolicy::kAlways:
-        row.bound_ok = row.lost == 0;
+        bound_ok = lost == 0;
         break;
       case persist::FsyncPolicy::kInterval:
-        row.bound_ok = row.lost <= wal_options.sync_every;
+        bound_ok = lost <= wal_options.sync_every;
         break;
       case persist::FsyncPolicy::kNever:
         // No durability promise, but the mid-stream checkpoint was
         // explicitly synced, so at least that horizon must survive.
-        row.bound_ok = row.recovered >= checkpoint_at;
+        bound_ok = durable >= checkpoint_at;
         break;
     }
-    APPCLASS_ENSURES(row.bound_ok);
-    rows.push_back(row);
+    APPCLASS_ENSURES(bound_ok);
+    // recovery_seconds is the one crash's recovery, a single measurement.
+    rows.push_back(
+        bench::Fields()
+            .text("policy", policy)
+            .count("sync_every", wal_options.sync_every)
+            .count("ingested_at_kill", total)
+            .count("recovered", durable)
+            .count("lost", lost)
+            .flag("bound_ok", bound_ok)
+            .flag("checkpoint_loaded", report.checkpoint_loaded)
+            .count("replayed", report.replayed)
+            .num("recovery_seconds", report.seconds)
+            .object("wal_append",
+                    bench::Fields().timing(append_seconds[p], "per_sec",
+                                           static_cast<double>(total))));
   }
   std::filesystem::remove_all(scratch);
-
-  std::printf("%-10s %12s %10s %8s %10s %12s %16s\n", "policy", "at_kill",
-              "recovered", "lost", "replayed", "recovery_s", "appends/sec");
-  for (const auto& row : rows)
-    std::printf("%-10s %12zu %10llu %8llu %10llu %12.4f %16.0f\n",
-                row.policy.c_str(), row.ingested_at_kill,
-                static_cast<unsigned long long>(row.recovered),
-                static_cast<unsigned long long>(row.lost),
-                static_cast<unsigned long long>(row.replayed),
-                row.recovery_seconds, row.wal_append_per_sec);
-
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"recovery_curve\",\n");
-  std::fprintf(out, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(out, "  \"bit_identical_prefix\": true,\n");
-  std::fprintf(out, "  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& row = rows[i];
-    std::fprintf(
-        out,
-        "    {\"policy\": \"%s\", \"sync_every\": %zu, "
-        "\"ingested_at_kill\": %zu, \"recovered\": %llu, \"lost\": %llu, "
-        "\"bound_ok\": %s, \"checkpoint_loaded\": %s, \"replayed\": %llu, "
-        "\"recovery_seconds\": %.6f, \"wal_append_per_sec\": %.1f}%s\n",
-        row.policy.c_str(), row.sync_every, row.ingested_at_kill,
-        static_cast<unsigned long long>(row.recovered),
-        static_cast<unsigned long long>(row.lost),
-        row.bound_ok ? "true" : "false",
-        row.checkpoint_loaded ? "true" : "false",
-        static_cast<unsigned long long>(row.replayed), row.recovery_seconds,
-        row.wal_append_per_sec, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return bench::write_report(
+      args, bench::Fields().flag("bit_identical_prefix", true), rows);
 }

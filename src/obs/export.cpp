@@ -1,6 +1,7 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <set>
 #include <string_view>
@@ -36,20 +37,12 @@ std::string display_name(const std::string& name, const Labels& labels) {
   return out;
 }
 
-/// Estimates quantile `q` from bucket counts: the upper bound of the
-/// bucket where the cumulative count crosses q * total ("inf" for the
-/// overflow bucket).
-std::string quantile_estimate(const HistogramSnapshot& h, double q) {
-  if (h.count == 0) return "-";
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(h.count) + 0.5);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < h.bucket_counts.size(); ++i) {
-    cumulative += h.bucket_counts[i];
-    if (cumulative >= target)
-      return i < h.bounds.size() ? short_double(h.bounds[i]) : "inf";
-  }
-  return "inf";
+/// Table cell for HistogramSnapshot::quantile_bound: "-" when empty,
+/// "inf" for the overflow bucket.
+std::string quantile_cell(const HistogramSnapshot& h, double q) {
+  const double bound = h.quantile_bound(q);
+  if (std::isnan(bound)) return "-";
+  return std::isinf(bound) ? "inf" : short_double(bound);
 }
 
 void json_labels_into(std::string& out, const Labels& labels) {
@@ -166,9 +159,9 @@ std::string to_table(const RegistrySnapshot& snapshot) {
                     display_name(h.name, h.labels).c_str(),
                     static_cast<unsigned long long>(h.count),
                     h.count ? short_double(h.mean()).c_str() : "-",
-                    quantile_estimate(h, 0.50).c_str(),
-                    quantile_estimate(h, 0.90).c_str(),
-                    quantile_estimate(h, 0.99).c_str());
+                    quantile_cell(h, 0.50).c_str(),
+                    quantile_cell(h, 0.90).c_str(),
+                    quantile_cell(h, 0.99).c_str());
       out.append(line);
     }
   }

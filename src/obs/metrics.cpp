@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/assert.hpp"
 
@@ -189,6 +190,18 @@ const CounterSnapshot* RegistrySnapshot::find_counter(
   for (const auto& c : counters)
     if (c.name == name && c.labels == want) return &c;
   return nullptr;
+}
+
+double HistogramSnapshot::quantile_bound(double q) const noexcept {
+  if (count == 0) return std::numeric_limits<double>::quiet_NaN();
+  const auto target =
+      static_cast<std::uint64_t>(q * static_cast<double>(count) + 0.5);
+  std::uint64_t cumulative = 0;
+  for (std::size_t i = 0; i < bucket_counts.size(); ++i) {
+    cumulative += bucket_counts[i];
+    if (cumulative >= target && i < bounds.size()) return bounds[i];
+  }
+  return std::numeric_limits<double>::infinity();
 }
 
 const HistogramSnapshot* RegistrySnapshot::find_histogram(

@@ -139,6 +139,11 @@ struct HistogramSnapshot {
   double mean() const noexcept {
     return count == 0 ? 0.0 : sum / static_cast<double>(count);
   }
+
+  /// Estimate of quantile `q`: the upper bound of the bucket where the
+  /// cumulative count reaches q * count. +infinity when that is the
+  /// overflow bucket, NaN when the histogram is empty.
+  double quantile_bound(double q) const noexcept;
 };
 
 /// Point-in-time copy of every registered metric, sorted by (name, labels).

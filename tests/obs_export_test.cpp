@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -65,6 +68,49 @@ TEST(ObsExport, HistogramBucketsAreCumulativeAndInfMatchesCount) {
   EXPECT_NE(prom.find("appclass_export_latency_seconds_count 3"),
             std::string::npos)
       << prom;
+}
+
+TEST(ObsExport, TableQuantileColumnsAreBucketUpperBounds) {
+  obs::MetricsRegistry registry;
+  obs::Histogram& h = registry.histogram("appclass_export_stage_seconds",
+                                         {}, {0.001, 0.01, 0.1});
+  for (int i = 0; i < 10; ++i) h.observe(0.0005);
+  for (int i = 0; i < 8; ++i) h.observe(0.005);
+  h.observe(0.05);
+  h.observe(5.0);  // overflow bucket
+  registry.histogram("appclass_export_unused_seconds", {}, {1.0});
+  const auto snapshot = registry.snapshot();
+
+  // 20 samples: the 10th lands in the first bucket, the 18th in the
+  // second, the 20th past the last bound.
+  const obs::HistogramSnapshot* stage =
+      snapshot.find_histogram("appclass_export_stage_seconds");
+  ASSERT_NE(stage, nullptr);
+  EXPECT_EQ(stage->quantile_bound(0.50), 0.001);
+  EXPECT_EQ(stage->quantile_bound(0.90), 0.01);
+  EXPECT_TRUE(std::isinf(stage->quantile_bound(0.99)));
+  EXPECT_TRUE(std::isnan(
+      snapshot.find_histogram("appclass_export_unused_seconds")
+          ->quantile_bound(0.50)));
+
+  // Columns after the name: count, mean, p50, p90, p99.
+  const std::string table = obs::to_table(snapshot);
+  const auto columns = [&table](const std::string& name) {
+    const std::size_t at = table.find(name + " ");
+    EXPECT_NE(at, std::string::npos) << table;
+    std::istringstream line(table.substr(at, table.find('\n', at) - at));
+    std::vector<std::string> out;
+    for (std::string cell; line >> cell;) out.push_back(cell);
+    return std::vector<std::string>(out.begin() + 1, out.end());
+  };
+  const auto stage_cells = columns("appclass_export_stage_seconds");
+  ASSERT_EQ(stage_cells.size(), 5u);
+  EXPECT_EQ(stage_cells[0], "20");
+  EXPECT_EQ(stage_cells[2], "0.001");
+  EXPECT_EQ(stage_cells[3], "0.01");
+  EXPECT_EQ(stage_cells[4], "inf");
+  EXPECT_EQ(columns("appclass_export_unused_seconds"),
+            (std::vector<std::string>{"0", "-", "-", "-", "-"}));
 }
 
 TEST(ObsExport, TypeLineEmittedOncePerFamily) {
